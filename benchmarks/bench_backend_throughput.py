@@ -58,7 +58,7 @@ backend, executor_kind = config.split("-")
 from repro.data.census import load_us
 from repro.experiments.config import PRIVACY_BUDGETS, ScalePreset
 from repro.runtime import plan_cells_tiled, run_plan, use_backend
-from repro.runtime.executor import ProcessExecutor
+from repro.runtime.executor import ProcessExecutor, SerialExecutor
 
 dataset = load_us(records)
 preset = ScalePreset(name="backend", max_records=None, folds=5, repetitions=reps)
@@ -67,10 +67,11 @@ plan = plan_cells_tiled(
     preset=preset, seed=11, tile_size=1,
 )
 with use_backend(backend):
-    executor = "serial" if executor_kind == "serial" else ProcessExecutor(max_workers=1)
-    started = time.perf_counter()
-    outcome = run_plan(plan, mode="batched", executor=executor)
-    seconds = time.perf_counter() - started
+    executor = SerialExecutor() if executor_kind == "serial" else ProcessExecutor(1)
+    with executor:
+        started = time.perf_counter()
+        outcome = run_plan(plan, mode="batched", executor=executor)
+        seconds = time.perf_counter() - started
 digest = hashlib.sha256()
 scores = []
 for epsilon in PRIVACY_BUDGETS:
@@ -111,7 +112,7 @@ def measurements(results_dir) -> dict[str, dict]:
     lines = [
         f"array-backend throughput ({REPS} reps x 5 folds x 6 budgets = "
         f"{reference['cells']} cells, {RECORDS:,} records, "
-        f"{os.cpu_count() or 1} cores visible)"
+        f"{len(os.sched_getaffinity(0))} cores visible)"
     ]
     for config, row in rows.items():
         if not row["available"]:
@@ -126,7 +127,7 @@ def measurements(results_dir) -> dict[str, dict]:
     payload = {
         "records": RECORDS,
         "repetitions": REPS,
-        "cores_visible": os.cpu_count() or 1,
+        "cores_visible": len(os.sched_getaffinity(0)),
         "configs": {
             config: {k: v for k, v in row.items() if k != "scores"}
             for config, row in rows.items()

@@ -12,10 +12,9 @@ rate and budget, for both datasets and both tasks.  Reproduction criteria
 """
 
 import pytest
-from conftest import save_and_print
+from conftest import run_figure, save_and_print
 
 from repro.experiments.config import DEFAULT
-from repro.experiments.figures import figure4_dimensionality
 from repro.experiments.reporting import format_sweep_table, summarize_ordering
 
 
@@ -23,8 +22,8 @@ from repro.experiments.reporting import format_sweep_table, summarize_ordering
 def test_figure4_linear(benchmark, results_dir, country, us_census, brazil_census):
     dataset = us_census if country == "us" else brazil_census
     result = benchmark.pedantic(
-        figure4_dimensionality,
-        args=(dataset, "linear"),
+        run_figure,
+        args=("figure4", dataset, "linear"),
         kwargs={"preset": DEFAULT},
         rounds=1,
         iterations=1,
@@ -46,8 +45,8 @@ def test_figure4_linear(benchmark, results_dir, country, us_census, brazil_censu
 def test_figure4_logistic(benchmark, results_dir, country, us_census, brazil_census):
     dataset = us_census if country == "us" else brazil_census
     result = benchmark.pedantic(
-        figure4_dimensionality,
-        args=(dataset, "logistic"),
+        run_figure,
+        args=("figure4", dataset, "logistic"),
         kwargs={"preset": DEFAULT},
         rounds=1,
         iterations=1,

@@ -11,19 +11,18 @@ budget.  Reproduction criteria (Section 7.2):
 
 import numpy as np
 import pytest
-from conftest import WIDE_SWEEP_PRESET, save_and_print
+from conftest import WIDE_SWEEP_PRESET, run_figure, save_and_print
 
 from repro.experiments.config import SAMPLING_RATES
-from repro.experiments.figures import figure5_cardinality
 from repro.experiments.reporting import format_sweep_table, summarize_ordering
 
 
 @pytest.mark.parametrize("task", ["linear", "logistic"])
 def test_figure5_us(benchmark, results_dir, task, us_census):
     result = benchmark.pedantic(
-        figure5_cardinality,
-        args=(us_census, task),
-        kwargs={"preset": WIDE_SWEEP_PRESET, "rates": SAMPLING_RATES},
+        run_figure,
+        args=("figure5", us_census, task),
+        kwargs={"preset": WIDE_SWEEP_PRESET, "values": SAMPLING_RATES},
         rounds=1,
         iterations=1,
     )
@@ -46,9 +45,9 @@ def test_figure5_us(benchmark, results_dir, task, us_census):
 @pytest.mark.parametrize("task", ["linear", "logistic"])
 def test_figure5_brazil(benchmark, results_dir, task, brazil_census):
     result = benchmark.pedantic(
-        figure5_cardinality,
-        args=(brazil_census, task),
-        kwargs={"preset": WIDE_SWEEP_PRESET, "rates": SAMPLING_RATES},
+        run_figure,
+        args=("figure5", brazil_census, task),
+        kwargs={"preset": WIDE_SWEEP_PRESET, "values": SAMPLING_RATES},
         rounds=1,
         iterations=1,
     )

@@ -11,10 +11,9 @@ and sampling rate.  Reproduction criteria (Section 7.3):
 
 import numpy as np
 import pytest
-from conftest import save_and_print
+from conftest import run_figure, save_and_print
 
 from repro.experiments.config import DEFAULT
-from repro.experiments.figures import figure6_privacy_budget
 from repro.experiments.reporting import format_sweep_table, summarize_ordering
 
 
@@ -23,8 +22,8 @@ from repro.experiments.reporting import format_sweep_table, summarize_ordering
 def test_figure6(benchmark, results_dir, country, task, us_census, brazil_census):
     dataset = us_census if country == "us" else brazil_census
     result = benchmark.pedantic(
-        figure6_privacy_budget,
-        args=(dataset, task),
+        run_figure,
+        args=("figure6", dataset, task),
         kwargs={"preset": DEFAULT},
         rounds=1,
         iterations=1,

@@ -9,10 +9,9 @@ reproduction target.
 """
 
 import pytest
-from conftest import save_and_print
+from conftest import run_figure, save_and_print
 
 from repro.experiments.config import DEFAULT
-from repro.experiments.figures import figure7_time_dimensionality
 from repro.experiments.reporting import format_time_table
 
 
@@ -20,8 +19,8 @@ from repro.experiments.reporting import format_time_table
 def test_figure7_time(benchmark, results_dir, country, us_census, brazil_census):
     dataset = us_census if country == "us" else brazil_census
     result = benchmark.pedantic(
-        figure7_time_dimensionality,
-        args=(dataset,),
+        run_figure,
+        args=("figure7", dataset),
         kwargs={"preset": DEFAULT},
         rounds=1,
         iterations=1,

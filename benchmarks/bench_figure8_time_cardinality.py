@@ -7,9 +7,8 @@ quadratic coefficients).
 
 import numpy as np
 import pytest
-from conftest import WIDE_SWEEP_PRESET, save_and_print
+from conftest import WIDE_SWEEP_PRESET, run_figure, save_and_print
 
-from repro.experiments.figures import figure8_time_cardinality
 from repro.experiments.reporting import format_time_table
 
 RATES = (0.1, 0.4, 0.7, 1.0)  # paper sweeps 10 rates; 4 suffice for shape
@@ -19,9 +18,9 @@ RATES = (0.1, 0.4, 0.7, 1.0)  # paper sweeps 10 rates; 4 suffice for shape
 def test_figure8_time(benchmark, results_dir, country, us_census, brazil_census):
     dataset = us_census if country == "us" else brazil_census
     result = benchmark.pedantic(
-        figure8_time_cardinality,
-        args=(dataset,),
-        kwargs={"preset": WIDE_SWEEP_PRESET, "rates": RATES},
+        run_figure,
+        args=("figure8", dataset),
+        kwargs={"preset": WIDE_SWEEP_PRESET, "values": RATES},
         rounds=1,
         iterations=1,
     )

@@ -7,10 +7,9 @@ speedup persists at every budget.
 
 import numpy as np
 import pytest
-from conftest import save_and_print
+from conftest import run_figure, save_and_print
 
 from repro.experiments.config import DEFAULT
-from repro.experiments.figures import figure9_time_budget
 from repro.experiments.reporting import format_time_table
 
 
@@ -18,8 +17,8 @@ from repro.experiments.reporting import format_time_table
 def test_figure9_time(benchmark, results_dir, country, us_census, brazil_census):
     dataset = us_census if country == "us" else brazil_census
     result = benchmark.pedantic(
-        figure9_time_budget,
-        args=(dataset,),
+        run_figure,
+        args=("figure9", dataset),
         kwargs={"preset": DEFAULT},
         rounds=1,
         iterations=1,

@@ -4,7 +4,8 @@ ROADMAP open item: ``--tile-size N --executor process`` is asserted
 bit-identical to the serial path, but PR 3's build box had one CPU, so its
 speedup was unmeasured.  This bench measures it: a FULL-shaped FM workload
 (all six Table-2 budgets per cell) is tiled into single-repetition tiles
-and dispatched to a forked process pool at increasing worker counts.
+and dispatched to a process pool (work shipped by pickle) at increasing
+worker counts.
 
 Following the ``bench_harness_memory`` pattern, every configuration runs
 in a **fresh subprocess** — process pools, BLAS thread state and page
@@ -24,16 +25,6 @@ Assertions:
   multi-core measurement).
 
 Results merge into ``BENCH_harness.json`` under ``scaling_benchmarks``.
-
-Pool reuse (the session API's executor lifecycle): a second measurement
-compares N consecutive ``evaluate`` calls under the legacy lifecycle — a
-fresh fork pool spun up inside every call (``Session(...,
-reuse_pool=False)``, exactly what the deprecated kwarg entry points do) —
-against one :class:`repro.session.Session` holding a single persistent
-pool across all N calls.  Both modes must produce identical score
-digests; the timings record what per-call pool spin-up costs.  Results
-merge into ``BENCH_harness.json`` under ``session_pool_reuse`` with the
-exact :class:`~repro.session.ExecutionPolicy` embedded.
 """
 
 import json
@@ -48,7 +39,7 @@ RECORDS = int(os.environ.get("HARNESS_SCALING_RECORDS", "200000"))
 REPS = int(os.environ.get("HARNESS_SCALING_REPS", "16"))
 FLOOR = float(os.environ.get("HARNESS_SCALING_FLOOR", "1.5"))
 
-_CPUS = os.cpu_count() or 1
+_CPUS = len(os.sched_getaffinity(0))
 #: serial reference, then process pools at 1, 2 and all-core widths
 #: (deduplicated when the box is narrow).
 WORKER_CONFIGS = ("serial",) + tuple(
@@ -63,18 +54,19 @@ records, reps, config = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 from repro.data.census import load_us
 from repro.experiments.config import PRIVACY_BUDGETS, ScalePreset
 from repro.runtime import plan_cells_tiled, run_plan
-from repro.runtime.executor import ProcessExecutor
+from repro.runtime.executor import ProcessExecutor, SerialExecutor
 
 dataset = load_us(records)
 preset = ScalePreset(name="scaling", max_records=None, folds=5, repetitions=reps)
-executor = "serial" if config == "serial" else ProcessExecutor(max_workers=int(config))
+executor = SerialExecutor() if config == "serial" else ProcessExecutor(int(config))
 plan = plan_cells_tiled(
     "FM", dataset, "linear", dims=14, epsilons=PRIVACY_BUDGETS,
     preset=preset, seed=11, tile_size=1,
 )
-started = time.perf_counter()
-outcome = run_plan(plan, mode="batched", executor=executor)
-seconds = time.perf_counter() - started
+with executor:
+    started = time.perf_counter()
+    outcome = run_plan(plan, mode="batched", executor=executor)
+    seconds = time.perf_counter() - started
 digest = hashlib.sha256()
 for epsilon in PRIVACY_BUDGETS:
     digest.update(struct.pack(f"<{len(outcome.scores[epsilon])}d", *outcome.scores[epsilon]))
@@ -156,93 +148,3 @@ def test_multicore_speedup(measurements):
         f"process x{_CPUS} speedup {speedup:.2f}x fell below the "
         f"{FLOOR:.1f}x floor"
     )
-
-
-# ----------------------------------------------------------------------
-# Session pool reuse: per-call spin-up vs one persistent pool
-# ----------------------------------------------------------------------
-POOL_CALLS = int(os.environ.get("HARNESS_POOL_CALLS", "8"))
-POOL_RECORDS = int(os.environ.get("HARNESS_POOL_RECORDS", "20000"))
-#: Regression guard: the persistent pool ships work by pickle instead of
-#: fork-time COW, so it trades serialization for spin-up; it must never
-#: cost more than this multiple of the per-call lifecycle.
-POOL_REUSE_GUARD = float(os.environ.get("HARNESS_POOL_REUSE_GUARD", "2.0"))
-
-#: Runs POOL_CALLS consecutive FM evaluations in one of two executor
-#: lifecycles; prints {seconds, policy, score_digest}.
-_POOL_CHILD = r"""
-import hashlib, json, struct, sys, time
-records, calls, mode = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
-from repro.data.census import load_us
-from repro.experiments.config import ScalePreset
-from repro.session import ExecutionPolicy, Session
-
-dataset = load_us(records)
-preset = ScalePreset(name="pool", max_records=None, folds=5, repetitions=4)
-policy = ExecutionPolicy(executor="process", tile_size=1, max_workers=2)
-digest = hashlib.sha256()
-with Session(policy, reuse_pool=(mode == "session")) as session:
-    started = time.perf_counter()
-    for call in range(calls):
-        result = session.evaluate(
-            "FM", dataset, "linear", dims=14, epsilon=0.8,
-            preset=preset, seed=100 + call,
-        )
-        digest.update(struct.pack("<dd", result.mean_score, result.std_score))
-    seconds = time.perf_counter() - started
-print(json.dumps({
-    "mode": mode,
-    "seconds": seconds,
-    "calls": calls,
-    "seconds_per_call": seconds / calls,
-    "policy": policy.to_dict(),
-    "score_digest": digest.hexdigest(),
-}))
-"""
-
-
-def _run_pool_mode(mode: str) -> dict:
-    result = subprocess.run(
-        [sys.executable, "-c", _POOL_CHILD, str(POOL_RECORDS), str(POOL_CALLS), mode],
-        capture_output=True,
-        text=True,
-        check=False,
-    )
-    assert result.returncode == 0, f"{mode} child failed:\n{result.stderr}"
-    return json.loads(result.stdout.strip().splitlines()[-1])
-
-
-@pytest.fixture(scope="module")
-def pool_measurements(results_dir) -> dict[str, dict]:
-    rows = {mode: _run_pool_mode(mode) for mode in ("per-call", "session")}
-    per_call = rows["per-call"]["seconds"]
-    held = rows["session"]["seconds"]
-    lines = [
-        f"executor-pool lifecycle ({POOL_CALLS} evaluate calls x 4 reps x "
-        f"5 folds, {POOL_RECORDS:,} records, process x2, tile_size=1)",
-        f"      per-call pools: {per_call:.2f}s ({per_call / POOL_CALLS:.3f}s/call)",
-        f"  session-held pool: {held:.2f}s ({held / POOL_CALLS:.3f}s/call, "
-        f"{per_call / held:.2f}x vs per-call)",
-    ]
-    save_and_print(results_dir, "harness_pool_reuse", "\n".join(lines))
-    (results_dir / "harness_pool_reuse.json").write_text(
-        json.dumps({"records": POOL_RECORDS, "calls": POOL_CALLS, "modes": rows},
-                   indent=2) + "\n"
-    )
-    return rows
-
-
-def test_pool_reuse_scores_identical(pool_measurements):
-    """Pool lifecycle is a scheduling knob only: one digest across modes."""
-    digests = {row["score_digest"] for row in pool_measurements.values()}
-    assert len(digests) == 1, pool_measurements
-
-
-def test_pool_reuse_not_a_regression(pool_measurements):
-    """The persistent pool's pickle dispatch must stay within the guard of
-    the per-call fork lifecycle (it should win outright once per-call
-    solve time stops dwarfing spin-up, but the guard only catches
-    pathology, not missed wins)."""
-    per_call = pool_measurements["per-call"]["seconds"]
-    held = pool_measurements["session"]["seconds"]
-    assert held <= POOL_REUSE_GUARD * per_call, (per_call, held)

@@ -1,7 +1,8 @@
 """Shared fixtures for the benchmark suite.
 
-Every figure bench follows the same pattern: run the figure's sweep driver
-once (``benchmark.pedantic(..., rounds=1)``) at the ``DEFAULT`` scale preset,
+Every figure bench follows the same pattern: run the figure once through
+:func:`run_figure` (``benchmark.pedantic(..., rounds=1)``) at the
+``DEFAULT`` scale preset,
 print the paper-style table, persist it under ``benchmarks/results/`` so the
 series survive output capturing, and assert the reproduction's ordering
 flags.
@@ -19,6 +20,7 @@ import pytest
 
 from repro.data import load_brazil, load_us
 from repro.experiments.config import DEFAULT, ScalePreset
+from repro.session import ExecutionPolicy, Session
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -54,3 +56,12 @@ def save_and_print(results_dir: pathlib.Path, name: str, text: str) -> None:
     """Persist a rendered table and echo it (visible with ``pytest -s``)."""
     (results_dir / f"{name}.txt").write_text(text + "\n")
     print("\n" + text)
+
+
+def run_figure(name: str, dataset, task: str | None = None, **kwargs):
+    """Run figure ``name`` through a fresh default-policy Session.
+
+    Figure N runs at seed N, so each bench's tables reproduce run to run.
+    """
+    with Session(ExecutionPolicy()) as session:
+        return session.figure(name, dataset, task, seed=int(name[-1]), **kwargs)

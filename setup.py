@@ -9,7 +9,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-functional-mechanism",
-    version="1.0.0",
+    version="2.0.0",
     description=(
         "Reproduction of 'Functional Mechanism: Regression Analysis under "
         "Differential Privacy' (Zhang et al., VLDB 2012)"

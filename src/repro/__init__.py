@@ -40,15 +40,14 @@ Package map
     Batched cell-solver runtime for the repeated-CV protocol: up-front
     (rep, fold, epsilon) cell planning, stacked LAPACK kernels and a
     masked batched Newton with bitwise-identical scores, plus pluggable
-    serial/thread/process executors (one-shot and session-held pooled
-    variants) for the non-batchable baselines.
+    serial/thread/process executors for the non-batchable baselines.
 ``repro.session``
     The unified Session/ExecutionPolicy API: one frozen, validated,
     JSON-serializable policy object for every execution knob (layered
     resolution over ``REPRO_*`` environment variables and policy files)
     and a Session facade owning cross-call state — prepared-data cache,
-    reusable executor pool, dataset registry.  The canonical entry
-    points; the legacy free functions are deprecation shims over it.
+    reusable executor pool, dataset registry.  The entry points for
+    every evaluation.
 ``repro.experiments``
     Table-2 parameter grid, cross-validation harness, per-figure drivers.
 ``repro.verify``
@@ -97,7 +96,7 @@ from .regression import (
     misclassification_rate,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "FMLinearRegression",

@@ -1,4 +1,7 @@
-"""Section-7 experiment harness: Table-2 config, CV protocol, figure drivers."""
+"""Section-7 experiment harness: Table-2 config, CV protocol, figure machinery.
+
+Run the protocol through :class:`repro.session.Session`.
+"""
 
 from .config import (
     DEFAULT,
@@ -17,17 +20,10 @@ from .config import (
 from .figures import (
     ObjectiveCurve,
     SweepResult,
-    accuracy_sweep,
     figure2_objective_example,
     figure3_approximation_example,
-    figure4_dimensionality,
-    figure5_cardinality,
-    figure6_privacy_budget,
-    figure7_time_dimensionality,
-    figure8_time_cardinality,
-    figure9_time_budget,
 )
-from .harness import EvaluationResult, evaluate_algorithm, evaluate_algorithms
+from .harness import EvaluationResult
 from .reporting import (
     format_objective_curve,
     format_sweep_table,
@@ -51,18 +47,9 @@ __all__ = [
     "ScalePreset",
     "ObjectiveCurve",
     "SweepResult",
-    "accuracy_sweep",
     "figure2_objective_example",
     "figure3_approximation_example",
-    "figure4_dimensionality",
-    "figure5_cardinality",
-    "figure6_privacy_budget",
-    "figure7_time_dimensionality",
-    "figure8_time_cardinality",
-    "figure9_time_budget",
     "EvaluationResult",
-    "evaluate_algorithm",
-    "evaluate_algorithms",
     "format_objective_curve",
     "format_sweep_table",
     "format_time_table",

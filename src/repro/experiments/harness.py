@@ -16,29 +16,27 @@ repetitions at a time, and run either through the batched tensor kernels
 through the masked batched Newton) or cell by cell as the reference oracle.
 All paths produce bitwise-identical scores at any tiling and on any
 executor; ``runtime="percell"`` exists to prove it and to time the
-baseline.  :func:`evaluate_algorithms` additionally runs a whole algorithm
-panel as one group — shared prepared-data cache, merged cross-algorithm
-stacked solves — still bit-identical to evaluating each algorithm alone.
+baseline.  A panel (:meth:`~repro.session.Session.evaluate_panel`) runs
+every algorithm as one group — shared prepared-data cache, merged
+cross-algorithm stacked solves — still bit-identical to evaluating each
+algorithm alone.
 
 Randomness plumbing: each (repetition, fold, algorithm) cell derives its own
 RNG substream keyed by position, so results are reproducible and algorithms
 see independent noise across cells regardless of execution order — or of
 which runtime path executes them.
 
-Budget sweeps have a dedicated fast path,
-:func:`evaluate_fm_budget_sweep`: because FM's database-level coefficients
-do not depend on epsilon, each (repetition, fold) training split is
+Budget sweeps (:meth:`~repro.session.Session.budget_sweep`) have a
+dedicated fast path: because FM's database-level coefficients do not
+depend on epsilon, each (repetition, fold) training split is
 aggregated **once** and refit at every budget — O(1 data pass + n_eps
 solves) instead of O(n_eps) passes.  The default routes through the batched
 runtime; ``runtime="engine"`` keeps PR 1's streaming
 :mod:`repro.engine` path (and is implied by ``shards > 1``).
 
-Deprecation note: the public functions here are **compatibility shims**
-since the :mod:`repro.session` API landed — each one warns, builds a
-one-shot :class:`~repro.session.Session` from its kwargs, and delegates
-to the private ``_*_impl`` twins the session entry points call directly.
-Results are bitwise identical either way (asserted by
-``tests/session/test_session_equivalence.py``); only the warning differs.
+The entry points are :class:`repro.session.Session` methods, which read
+the execution knobs (runtime, executor, tiling, stream version) from the
+session's policy and call the private protocol bodies below.
 """
 
 from __future__ import annotations
@@ -74,9 +72,6 @@ from .config import DEFAULT, ScalePreset
 
 __all__ = [
     "EvaluationResult",
-    "evaluate_algorithm",
-    "evaluate_algorithms",
-    "evaluate_fm_budget_sweep",
     "objective_for",
     "score_from_scores",
 ]
@@ -154,7 +149,7 @@ def _result_for_epsilon(
     )
 
 
-def evaluate_algorithm(
+def _evaluate_algorithm(
     algorithm: str,
     dataset: CensusDataset,
     task: Task,
@@ -167,15 +162,12 @@ def evaluate_algorithm(
     runtime: str = "batched",
     executor: str | CellExecutor = "serial",
     tile_size: int | None = None,
-    stream_version: int | None = None,
+    stream_version: int = 1,
+    prepared_cache: PreparedDataCache | None = None,
 ) -> EvaluationResult:
     """Run the full repeated-CV protocol for one algorithm at one sweep point.
 
-    .. deprecated::
-        Threading execution kwargs per call is superseded by
-        :class:`repro.session.Session` —
-        ``Session(policy).evaluate(algorithm, dataset, task, dims,
-        epsilon, ...)`` — with bitwise-identical results.
+    The body of :meth:`repro.session.Session.evaluate`.
 
     Parameters
     ----------
@@ -196,71 +188,20 @@ def evaluate_algorithm(
     algorithm_kwargs:
         Extra constructor arguments (ablation benches use this).
     runtime:
-        ``"batched"`` (default) executes supported algorithms through the
-        stacked runtime kernels; ``"percell"`` forces the per-cell
-        reference path.  Scores are bitwise identical either way.
+        ``"batched"`` executes supported algorithms through the stacked
+        runtime kernels; ``"percell"`` forces the per-cell reference path.
+        Scores are bitwise identical either way.
     executor:
-        Executor for parallel work: ``"serial"``, ``"thread"`` or
-        ``"process"``.  Spreads per-cell work (non-batchable baselines, or
-        everything under ``runtime="percell"``), and with ``tile_size``
-        set and multiple tiles, whole batched tiles.
+        Where parallel work runs (see :func:`~repro.runtime.run_plan`).
     tile_size:
-        ``None`` (default) plans eagerly — all repetitions' prepared
-        arrays resident at once, as before.  An integer bounds the
-        resident set to that many repetitions per tile (``1`` restores the
-        historical one-rep-at-a-time memory profile).  Scores are bitwise
-        identical at every tiling.
+        ``None`` plans eagerly; an integer bounds the resident set to that
+        many repetitions per tile.  Scores are bitwise identical at every
+        tiling.
     stream_version:
-        :func:`~repro.privacy.rng.derive_substream` format; ``None``
-        follows :data:`repro.session.DEFAULT_STREAM_VERSION` (2, the
-        fixed alias-free derivation, since PR 6); ``1`` reproduces the
-        historical streams bit for bit.
-    """
-    from ..session.compat import legacy_session
-
-    with legacy_session(
-        "evaluate_algorithm",
-        runtime=runtime,
-        executor=executor,
-        tile_size=tile_size,
-        stream_version=stream_version,
-        seed=seed,
-    ) as (session, override):
-        return session.evaluate(
-            algorithm,
-            dataset,
-            task,
-            dims,
-            epsilon,
-            preset=preset,
-            sampling_rate=sampling_rate,
-            seed=seed,
-            algorithm_kwargs=algorithm_kwargs,
-            executor=override,
-        )
-
-
-def _evaluate_algorithm_impl(
-    algorithm: str,
-    dataset: CensusDataset,
-    task: Task,
-    dims: int,
-    epsilon: float,
-    preset: ScalePreset = DEFAULT,
-    sampling_rate: float = 1.0,
-    seed: int = 0,
-    algorithm_kwargs: Mapping | None = None,
-    runtime: str = "batched",
-    executor: str | CellExecutor = "serial",
-    tile_size: int | None = None,
-    stream_version: int = 1,
-    prepared_cache: PreparedDataCache | None = None,
-) -> EvaluationResult:
-    """The protocol body behind :func:`evaluate_algorithm` (no warning).
-
-    ``prepared_cache`` opts into cross-call prepared-data reuse (a
-    session passes its persistent cache); every other parameter is
-    documented on the public shim.
+        :func:`~repro.privacy.rng.derive_substream` format.
+    prepared_cache:
+        Cross-call prepared-data reuse (a session passes its persistent
+        cache).
     """
     if tile_size is None:
         plan = plan_cells(
@@ -295,81 +236,7 @@ def _evaluate_algorithm_impl(
     return _result_for_epsilon(outcome, algorithm, task, float(epsilon))
 
 
-def evaluate_fm_budget_sweep(
-    dataset: CensusDataset,
-    task: Task,
-    dims: int,
-    epsilons: Sequence[float],
-    preset: ScalePreset = DEFAULT,
-    sampling_rate: float = 1.0,
-    seed: int = 0,
-    shards: int = 1,
-    post_processing: str = "spectral",
-    tight_sensitivity: bool = False,
-    runtime: str = "auto",
-    executor: str | CellExecutor = "serial",
-    tile_size: int | None = None,
-    stream_version: int | None = None,
-) -> dict[float, EvaluationResult]:
-    """Run FM's repeated-CV protocol at *all* budgets with one pass per cell.
-
-    .. deprecated::
-        Superseded by :meth:`repro.session.Session.budget_sweep` with
-        bitwise-identical results.
-
-    Mirrors :func:`evaluate_algorithm` for the ``"FM"`` algorithm across an
-    epsilon vector, but instead of refitting from the raw data per budget,
-    each (repetition, fold) training split is aggregated exactly once and
-    refit at every epsilon from the finalized coefficients.
-
-    Unlike the per-point loop path — where every sweep point re-derives its
-    own subsample and folds — all epsilons here share each repetition's
-    folds; that is precisely what makes one pass possible, and the paper's
-    protocol averages over folds either way.
-
-    Parameters mirror :func:`evaluate_algorithm`; additionally:
-
-    shards:
-        Parallel ingestion shards for the streaming-engine path (implies
-        ``runtime="engine"`` when greater than one).
-    post_processing / tight_sensitivity:
-        Mechanism configuration, as the FM estimator kwargs would be.
-    runtime:
-        ``"auto"`` (default) picks the batched runtime, falling back to the
-        streaming engine when ``shards > 1`` or a non-spectral repair is
-        requested; ``"batched"`` / ``"percell"`` force the runtime paths;
-        ``"engine"`` forces the PR-1 streaming-accumulator path.
-    tile_size / stream_version:
-        As in :func:`evaluate_algorithm`.  ``tile_size`` applies to the
-        runtime paths (the engine path already streams one repetition at a
-        time and ignores it).
-    """
-    from ..session.compat import legacy_session
-
-    with legacy_session(
-        "evaluate_fm_budget_sweep",
-        runtime=runtime,
-        executor=executor,
-        tile_size=tile_size,
-        stream_version=stream_version,
-        seed=seed,
-        shards=shards,
-    ) as (session, override):
-        return session.budget_sweep(
-            dataset,
-            task,
-            dims,
-            epsilons,
-            preset=preset,
-            sampling_rate=sampling_rate,
-            seed=seed,
-            post_processing=post_processing,
-            tight_sensitivity=tight_sensitivity,
-            executor=override,
-        )
-
-
-def _evaluate_fm_budget_sweep_impl(
+def _fm_budget_sweep(
     dataset: CensusDataset,
     task: Task,
     dims: int,
@@ -386,7 +253,27 @@ def _evaluate_fm_budget_sweep_impl(
     stream_version: int = 1,
     prepared_cache: PreparedDataCache | None = None,
 ) -> dict[float, EvaluationResult]:
-    """The sweep body behind :func:`evaluate_fm_budget_sweep` (no warning)."""
+    """Run FM's repeated-CV protocol at *all* budgets with one pass per cell.
+
+    The body of :meth:`repro.session.Session.budget_sweep`.  Each
+    (repetition, fold) training split is aggregated exactly once and
+    refit at every epsilon from the finalized coefficients, so all
+    epsilons share each repetition's folds — which is what makes one pass
+    possible; the paper's protocol averages over folds either way.
+
+    Parameters mirror :func:`_evaluate_algorithm`; additionally:
+
+    shards:
+        Parallel ingestion shards for the streaming-engine path.
+    post_processing / tight_sensitivity:
+        Mechanism configuration, as the FM estimator kwargs would be.
+    runtime:
+        ``"auto"`` picks the batched runtime, falling back to the
+        streaming engine when ``shards > 1`` or a non-spectral repair is
+        requested; ``"batched"`` / ``"percell"`` force the runtime paths;
+        ``"engine"`` forces the streaming-accumulator path (which streams
+        one repetition at a time and ignores ``tile_size``).
+    """
     epsilon_values = [float(e) for e in epsilons]
     if not epsilon_values:
         raise ExperimentError("epsilons must be non-empty")
@@ -539,68 +426,7 @@ def _fm_budget_sweep_engine(
     }
 
 
-def evaluate_algorithms(
-    algorithms: Sequence[str],
-    dataset: CensusDataset,
-    task: Task,
-    dims: int,
-    epsilon: float,
-    preset: ScalePreset = DEFAULT,
-    sampling_rate: float = 1.0,
-    seed: int = 0,
-    runtime: str = "batched",
-    executor: str | CellExecutor = "serial",
-    tile_size: int | None = None,
-    stream_version: int | None = None,
-) -> dict[str, EvaluationResult]:
-    """Evaluate several algorithms at one sweep point; keyed by name.
-
-    .. deprecated::
-        Superseded by :meth:`repro.session.Session.evaluate_panel` with
-        bitwise-identical results.
-
-    All algorithms plan over one shared
-    :class:`~repro.runtime.PreparedDataCache` — each repetition's prepared
-    arrays (and, where training splits coincide, their Gram/moment blocks)
-    materialize once for the whole panel instead of once per algorithm —
-    and execute as one :func:`~repro.runtime.run_plan_group`, which merges
-    the quadratic algorithms' closed-form solves into one stacked LAPACK
-    call.  Results are bitwise identical to looping
-    :func:`evaluate_algorithm` per name (asserted by the runtime suite);
-    only the wall-clock and peak memory differ.
-
-    The grouped path always plans **tiled**: a group holds every
-    algorithm's plan at once, so eager planning would multiply the peak
-    resident set by the panel size whenever repetitions cannot share
-    prepared arrays (any subsampled preset or sampling rate < 1).  With
-    ``tile_size=None`` (default) residency is bounded at one repetition
-    per algorithm — the minimal-memory schedule; pass a larger
-    ``tile_size`` to trade memory for fewer, larger dispatches.
-    """
-    from ..session.compat import legacy_session
-
-    with legacy_session(
-        "evaluate_algorithms",
-        runtime=runtime,
-        executor=executor,
-        tile_size=tile_size,
-        stream_version=stream_version,
-        seed=seed,
-    ) as (session, override):
-        return session.evaluate_panel(
-            algorithms,
-            dataset,
-            task,
-            dims,
-            epsilon,
-            preset=preset,
-            sampling_rate=sampling_rate,
-            seed=seed,
-            executor=override,
-        )
-
-
-def _evaluate_algorithms_impl(
+def _evaluate_panel(
     algorithms: Sequence[str],
     dataset: CensusDataset,
     task: Task,
@@ -615,10 +441,22 @@ def _evaluate_algorithms_impl(
     stream_version: int = 1,
     prepared_cache: PreparedDataCache | None = None,
 ) -> dict[str, EvaluationResult]:
-    """The grouped-panel body behind :func:`evaluate_algorithms`.
+    """Evaluate several algorithms at one sweep point; keyed by name.
 
-    ``prepared_cache`` defaults to a fresh per-call cache (the legacy
-    behaviour); a session passes its persistent one.
+    The body of :meth:`repro.session.Session.evaluate_panel`.  All
+    algorithms plan over one shared
+    :class:`~repro.runtime.PreparedDataCache` — each repetition's prepared
+    arrays (and, where training splits coincide, their Gram/moment blocks)
+    materialize once for the whole panel — and execute as one
+    :func:`~repro.runtime.run_plan_group`, which merges the quadratic
+    algorithms' closed-form solves into one stacked LAPACK call.  Results
+    are bitwise identical to evaluating each name alone.
+
+    The grouped path always plans **tiled**: a group holds every
+    algorithm's plan at once, so eager planning would multiply the peak
+    resident set by the panel size.  ``tile_size=None`` bounds residency
+    at one repetition per algorithm.  ``prepared_cache`` defaults to a
+    fresh per-call cache.
     """
     cache = PreparedDataCache() if prepared_cache is None else prepared_cache
     plans = [

@@ -10,7 +10,7 @@ same bytes however it likes.
 
 Process simulation: :class:`PartyWork` is a module-level picklable
 callable, so :func:`run_parties` can push each party through a
-``fork``-context :class:`~repro.runtime.executor.PooledProcessExecutor`
+``fork``-context :class:`~repro.runtime.executor.ProcessExecutor`
 — parties then genuinely run in separate OS processes with separate
 address spaces (the executor's ``<= 1 item`` in-process short-circuit
 never triggers for the ``K >= 2`` federations the simulation targets).

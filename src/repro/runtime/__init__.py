@@ -39,8 +39,6 @@ from .backend import (
 )
 from .executor import (
     CellExecutor,
-    PooledProcessExecutor,
-    PooledThreadExecutor,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
@@ -88,8 +86,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "PooledThreadExecutor",
-    "PooledProcessExecutor",
     "get_executor",
     "NewtonBatchResult",
     "SpectralBatchResult",

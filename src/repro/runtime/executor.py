@@ -9,61 +9,44 @@ per cell through an executor.  Since the tiled runtime
 function materializes that tile's prepared arrays and runs its stacked
 kernels, and only the lightweight per-cell score/time lists travel back.
 
+There is one executor per kind:
+
 ``SerialExecutor``
     The reference: items run in submission order on the calling thread.
 ``ThreadExecutor``
     A thread pool.  NumPy releases the GIL inside BLAS/LAPACK and the
     random generators are derived per cell (never shared), so cells are
-    data-race free and results are position-assigned — output order is
-    deterministic regardless of completion order.
+    data-race free.
 ``ProcessExecutor``
-    A ``fork``-context process pool sharing the parent's arrays read-only
-    through copy-on-write memory: workers inherit the parent's address
-    space, so neither the plan's fold views (per-cell dispatch) nor the
-    raw dataset a tile materializes from (tile dispatch) are ever pickled
-    or copied.  For tile dispatch this is what bounds the parent's peak
-    memory: each forked worker materializes *its own* tile from the
-    COW-shared dataset and returns only scores, so at most
-    ``min(n_tiles, max_workers)`` tiles are resident machine-wide and the
-    parent holds none.  On platforms without ``fork`` the executor
+    A ``fork``-context process pool.  Its workers outlive any single
+    call, so work reaches them **by pickle**: each ``map`` pickles the
+    work callable (and its payload) about ``max_workers`` times.  The
+    runner's work objects are picklable by design (module-level callables
+    over picklable plans).  On platforms without ``fork`` the executor
     degrades to serial execution.
 
-Pooled (session-held) variants
-------------------------------
-``ThreadExecutor`` and ``ProcessExecutor`` build a fresh pool inside every
-``map`` call — the right lifecycle for one-shot runs, and (for processes)
-the prerequisite of the COW trick above, which can only share state that
-existed *before* the fork.  A long-lived :class:`repro.session.Session`
-instead wants one pool reused across many calls, so this module also ships
-
-``PooledThreadExecutor``
-    A lazily created, persistent thread pool, reused by every ``map``
-    until :meth:`~PooledThreadExecutor.close`.
-``PooledProcessExecutor``
-    A lazily created, persistent ``fork``-context process pool.  Because
-    its workers outlive any single call, work **cannot** reach them by
-    fork-time inheritance — each ``map`` pickles the work callable (and
-    its payload) instead.  The runner's work objects are picklable by
-    design (module-level callables over picklable plans); the trade is
-    per-call serialization instead of per-call pool spin-up, which wins
-    whenever calls are frequent relative to their payload size (the
-    serving workload Sessions exist for) and is measured by
-    ``benchmarks/bench_harness_scaling.py``.
-
-Both pooled executors are context managers and idempotently ``close()``-
-able; a closed executor transparently re-creates its pool on next use.
+Lifecycle: the thread and process pools are created lazily by the first
+``map`` that has more than one item, reused by every later ``map``, and
+shut down by :meth:`CellExecutor.close` (a closed executor re-creates its
+pool on next use).  Every executor is a context manager, and whoever
+constructs one closes it: a :class:`repro.session.Session` holds one
+across calls until :meth:`~repro.session.Session.close`,
+:func:`~repro.runtime.run_plan` closes an executor it resolved from a
+name, and the serving layer closes its per-request executor.  A closed
+executor leaves no worker thread or process alive.  The default pool
+width is :func:`default_max_workers`.
 
 Determinism contract: executors only change *where* an item runs.  Each
 cell's RNG substream is derived from its (seed, tag) key, results are
 assigned by input position (``map`` output order == input order, which is
 what makes the runner's tile-ordered reduction deterministic), and pickled
 numpy arrays round-trip bit-exactly, so scores are bitwise identical
-across executors, worker counts, and pool lifecycles.
+across executors, worker counts, and pool lifetimes.
 
 Telemetry (:mod:`repro.obs`): thread and serial execution records into the
 session's recorder directly — it is thread-safe and shared by address
-space.  Process workers cannot (they mutate a forked or pickled copy), so
-when a recording recorder is active the process executors wrap the work in
+space.  Process workers cannot (they mutate their own copy), so when a
+recording recorder is active the process executor wraps the work in
 :class:`_TelemetryWork`: each worker-side call runs under a fresh recorder
 and ships ``(result, payload)`` home, and the parent merges the payloads
 **in input order** — deterministic regardless of completion order, and
@@ -71,18 +54,16 @@ double-count-free because the wrapper swaps the worker's active recorder.
 Merging happens outside the timed kernels and never touches results, so
 the bitwise contract above is unaffected.
 
-Self-healing (:mod:`repro.faults`): both process executors run under a
-:class:`~repro.faults.RetryPolicy`.  On the default fault-free path the
-only change from the historical executors is that a
-``BrokenProcessPool`` no longer kills the whole map: the completed
-prefix is kept, the pool is rebuilt (bounded exponential backoff,
-``max_retries`` rounds), and only the unfinished items re-run — which is
-bitwise-safe because every cell's substream is keyed by ``(seed, tag)``,
-never by where or when it executes.  When a fault injector is active or
-a ``tile_timeout`` is set, maps route through a per-item submit path
-that can additionally detect hung workers (kill + rebuild + retry) and
-checksum-verify pickled result envelopes (corrupt payloads retry like
-crashes).  Exhausted retries raise
+Self-healing (:mod:`repro.faults`): the process executor runs under a
+:class:`~repro.faults.RetryPolicy`.  A ``BrokenProcessPool`` does not
+kill the whole map: the completed prefix is kept, the pool is rebuilt
+(bounded exponential backoff, ``max_retries`` rounds), and only the
+unfinished items re-run — which is bitwise-safe because every cell's
+substream is keyed by ``(seed, tag)``, never by where or when it
+executes.  When a fault injector is active or a ``tile_timeout`` is set,
+maps route through a per-item submit path that can additionally detect
+hung workers (kill + rebuild + retry) and checksum-verify pickled result
+envelopes (corrupt payloads retry like crashes).  Exhausted retries raise
 :class:`~repro.exceptions.ExecutorBrokenError` carrying the completed
 prefix, which the runner can turn into a thread/serial fallback.  Every
 crash, timeout, rebuild, retry and corruption is counted on the active
@@ -93,7 +74,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
-import itertools
 import multiprocessing
 import os
 import pickle
@@ -112,12 +92,32 @@ __all__ = [
     "ProcessExecutor",
     "PooledThreadExecutor",
     "PooledProcessExecutor",
+    "default_max_workers",
     "get_executor",
 ]
 
 
+def default_max_workers() -> int:
+    """Default pool width: the CPUs this process may run on, at most 8.
+
+    Counts the scheduler affinity mask, not the host's CPUs, so a
+    container or ``taskset`` restricted to two cores gets two workers.
+    Platforms without ``os.sched_getaffinity`` fall back to
+    ``os.cpu_count()``.
+    """
+    try:
+        visible = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - macOS / Windows
+        visible = os.cpu_count() or 1
+    return min(8, visible)
+
+
 class CellExecutor:
-    """Interface: run ``work(item)`` for every item, results in input order."""
+    """Interface: run ``work(item)`` for every item, results in input order.
+
+    Executors are context managers; :meth:`close` releases whatever pool
+    the executor holds (a no-op for executors that hold none).
+    """
 
     name: str = "abstract"
 
@@ -125,16 +125,25 @@ class CellExecutor:
         """Execute ``work`` over ``items``; result ``i`` is ``work(items[i])``."""
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release the executor's pool; the next ``map`` builds a fresh one."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
 
 class _TelemetryWork:
     """Process-worker shim: run one item under a fresh recorder, ship it home.
 
     Picklable (plain attributes over a picklable work callable), so it
-    crosses into pooled workers by pickle and into forked workers by
-    inheritance.  Each call returns ``(result, payload)``; the parent
-    unwraps via :func:`_merge_worker_results`.  Installing a fresh
-    recorder per call is what keeps worker activity out of the (forked
-    copy of the) parent recorder — nothing is counted twice.
+    crosses into pool workers by pickle.  Each call returns
+    ``(result, payload)``; the parent unwraps via
+    :func:`_merge_worker_results`.  Installing a fresh recorder per call
+    is what keeps worker activity out of the worker's forked copy of the
+    parent recorder — nothing is counted twice.
     """
 
     __slots__ = ("work", "mode")
@@ -196,16 +205,7 @@ def _maybe_unseal(result):
     return result
 
 
-def _apply_faults(work: Callable, item, injector: FaultInjector, index: int, attempt: int):
-    """Run one item under the executor fault sites (worker side)."""
-    if injector.decide("worker.crash", index, attempt):
-        os._exit(_CRASH_EXIT)
-    if injector.decide("tile.hang", index, attempt):
-        time.sleep(injector.plan.hang_seconds)
-    return _seal(work(item), injector, index, attempt)
-
-
-#: Injectors rebuilt from plan text inside pooled workers, cached by text
+#: Injectors rebuilt from plan text inside pool workers, cached by text
 #: (decisions are stateless, so sharing one per plan is safe).
 _INJECTOR_CACHE: dict[str, FaultInjector] = {}
 
@@ -217,122 +217,36 @@ def _injector_for(plan_text: str) -> FaultInjector:
     return injector
 
 
-def _pooled_cell_faulted(work: Callable, plan_text: str, item, index: int, attempt: int):
-    """Submit-path work unit for pickled-work pools: faults around one item."""
+def _faulted_cell(work: Callable, plan_text: str, item, index: int, attempt: int):
+    """Submit-path work unit: run one item under the executor fault sites.
+
+    Runs in the worker.  The injector is rebuilt from its plan text (the
+    pool's workers were forked before the map that carries the plan).
+    """
     injector = _injector_for(plan_text)
     if not injector.executor_faults_active:
         return work(item)
-    return _apply_faults(work, item, injector, index, attempt)
+    if injector.decide("worker.crash", index, attempt):
+        os._exit(_CRASH_EXIT)
+    if injector.decide("tile.hang", index, attempt):
+        time.sleep(injector.plan.hang_seconds)
+    return _seal(work(item), injector, index, attempt)
 
 
-def _terminate_workers(pool) -> None:
-    """Kill a pool's worker processes (a hung worker cannot be joined).
+def _discard(pool) -> None:
+    """Tear down a condemned process pool, leaving no worker alive.
 
-    ``_processes`` is private to ``ProcessPoolExecutor`` but has been its
-    worker registry since 3.2; guarded access keeps this a no-op if the
-    attribute ever moves (the subsequent unwaited shutdown still abandons
-    the pool).
+    A crashed or hung pool is never reused, so its workers are killed
+    rather than drained: a hung worker cannot be drained, and a forked
+    worker may have inherited a handler that ignores ``SIGTERM`` (the
+    serving layer installs one), so ``SIGKILL`` it is.  With every worker
+    dead the shutdown returns promptly, and waiting on it reaps the
+    workers and the pool's manager thread.  ``_processes`` is private to
+    ``ProcessPoolExecutor`` but has been its worker registry since 3.2.
     """
-    for process in list(getattr(pool, "_processes", {}).values()):
-        if process.is_alive():
-            process.terminate()
-
-
-def _resilient_collect(
-    n_items: int,
-    ensure_pool: Callable,
-    discard_pool: Callable,
-    submit: Callable,
-    retry: RetryPolicy,
-    recorder,
-) -> list:
-    """The per-item submit loop both process executors recover through.
-
-    Each round submits every unfinished item (with its attempt count) and
-    collects results in input order.  Crashes (``BrokenProcessPool``),
-    hangs (``tile_timeout`` exceeded) and corrupt result envelopes mark
-    their items failed and — for the first two — condemn the pool, which
-    ``discard_pool`` tears down (killing workers when one is hung) so the
-    next round starts on a fresh fork.  Genuine exceptions raised *by the
-    work* propagate immediately: a deterministic bug would fail every
-    retry identically, and masking it as an executor failure would turn
-    a wrong answer into a slow wrong answer.
-
-    ``retry.max_retries`` bounds consecutive rounds that complete zero
-    items; a round with any progress keeps the loop alive, so a pool
-    that crashes repeatedly while still advancing is drained rather than
-    abandoned.  Exhaustion raises
-    :class:`~repro.exceptions.ExecutorBrokenError` with the completed
-    prefix and pending positions, letting callers resume elsewhere.
-    """
-    results: list = [None] * n_items
-    done = [False] * n_items
-    attempts = [0] * n_items
-    wasted_rounds = 0
-    while not all(done):
-        pending = [i for i in range(n_items) if not done[i]]
-        pool = ensure_pool()
-        futures: dict = {}
-        broke = False
-        try:
-            for i in pending:
-                futures[i] = submit(pool, i, attempts[i])
-        except BrokenProcessPool:
-            # A fast crash can poison the pool while this round is still
-            # being submitted, making submit() itself raise.  Items that
-            # never got a future fail the round; the submitted ones are
-            # harvested below like any other broken-pool round.
-            recorder.counter("executor.worker_crashes")
-            broke = True
-        completed_this_round = 0
-        failed: list[int] = [i for i in pending if i not in futures]
-        hung = False
-        for i in pending:
-            future = futures.get(i)
-            if future is None:
-                continue
-            if broke:
-                # The pool is condemned; harvest items that finished
-                # before the break without blocking on the rest.
-                if not future.done():
-                    failed.append(i)
-                    continue
-            try:
-                timeout = None if broke else retry.tile_timeout
-                results[i] = _maybe_unseal(future.result(timeout=timeout))
-                done[i] = True
-                completed_this_round += 1
-            except concurrent.futures.TimeoutError:
-                recorder.counter("executor.timeouts")
-                failed.append(i)
-                hung = True
-            except _CorruptPayloadError:
-                recorder.counter("executor.payload_corruptions")
-                failed.append(i)
-            except BrokenProcessPool:
-                recorder.counter("executor.worker_crashes")
-                failed.append(i)
-                broke = True
-        if broke or hung:
-            discard_pool(kill=hung)
-            recorder.counter("executor.pool_rebuilds")
-        if not failed:
-            continue
-        for i in failed:
-            attempts[i] += 1
-        if completed_this_round == 0:
-            wasted_rounds += 1
-            if wasted_rounds > retry.max_retries:
-                raise ExecutorBrokenError(
-                    "hung worker" if hung else "worker crash or corrupt result",
-                    completed={i: results[i] for i in range(n_items) if done[i]},
-                    pending=tuple(i for i in range(n_items) if not done[i]),
-                    failure_mode=retry.failure_mode,
-                )
-        recorder.counter("executor.retries", len(failed))
-        with recorder.span("executor.retry", pending=len(failed)):
-            time.sleep(retry.delay(max(0, wasted_rounds - 1)))
-    return results
+    for worker in list((getattr(pool, "_processes", None) or {}).values()):
+        worker.kill()
+    pool.shutdown(wait=True, cancel_futures=True)
 
 
 class SerialExecutor(CellExecutor):
@@ -349,9 +263,10 @@ class SerialExecutor(CellExecutor):
 
 
 class ThreadExecutor(CellExecutor):
-    """Run items on a thread pool (BLAS releases the GIL).
+    """Run items on a lazily created, persistent thread pool.
 
-    Tile dispatch note: concurrent tiles may consult a shared
+    BLAS releases the GIL, so threads overlap the numeric work.  Tile
+    dispatch note: concurrent tiles may consult a shared
     :class:`~repro.runtime.plan.PreparedDataCache`; its entries are
     idempotent (a racing rebuild stores the identical value), so the race
     is benign and scores stay deterministic.
@@ -360,183 +275,7 @@ class ThreadExecutor(CellExecutor):
     name = "thread"
 
     def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = max_workers or min(8, os.cpu_count() or 1)
-
-    def map(self, work: Callable, items: Sequence) -> list:
-        if len(items) <= 1:
-            return [work(item) for item in items]
-        with concurrent.futures.ThreadPoolExecutor(self.max_workers) as pool:
-            return list(pool.map(work, items))
-
-
-#: Work registered for copy-on-write sharing with forked workers, keyed by
-#: a monotonically increasing token (never recycled, unlike ``id`` — two
-#: overlapping maps can therefore never alias each other's work).
-#: Populated by ProcessExecutor *before* the fork so the children inherit
-#: the callable and its captured arrays without pickling them.
-_SHARED_WORK: dict[int, tuple[Callable, Sequence]] = {}
-_SHARED_TOKENS = itertools.count()
-
-
-def _forked_cell(token_and_index: tuple[int, int]):
-    token, index = token_and_index
-    work, items = _SHARED_WORK[token]
-    return work(items[index])
-
-
-def _forked_cell_faulted(payload: tuple[int, int, int]):
-    """Submit-path work unit for forked pools: faults around one item.
-
-    The injector reaches the child by fork-time inheritance of the
-    active-injector slot (pools are built inside the session's
-    ``use_injector`` scope), so only ``(token, index, attempt)`` crosses
-    the process boundary — the COW contract is unchanged.
-    """
-    token, index, attempt = payload
-    work, items = _SHARED_WORK[token]
-    injector = active_injector()
-    if not injector.executor_faults_active:
-        return work(items[index])
-    return _apply_faults(work, items[index], injector, index, attempt)
-
-
-class ProcessExecutor(CellExecutor):
-    """Run items on a forked process pool with shared read-only views.
-
-    Only the ``(token, index)`` pairs and each item's **result** cross the
-    process boundary; the work callable and anything it closes over (fold
-    views, a :class:`~repro.runtime.plan.TiledPlan` and its dataset) stay
-    in the parent's address space and reach workers via copy-on-write.
-    Results must therefore be kept lightweight — the tiled runner returns
-    score/time lists, never prepared arrays.
-
-    Self-healing: a ``BrokenProcessPool`` keeps the completed prefix,
-    rebuilds the pool and re-runs only unfinished items, bounded by
-    ``retry.max_retries`` (0 restores fail-fast).  With an active fault
-    injector or a ``tile_timeout``, items run through the per-item
-    submit path (hang detection + envelope checksums) instead of the
-    chunk-free fast path.
-    """
-
-    name = "process"
-
-    def __init__(
-        self, max_workers: int | None = None, retry: RetryPolicy | None = None
-    ) -> None:
-        self.max_workers = max_workers or min(8, os.cpu_count() or 1)
-        self.retry = retry if retry is not None else RetryPolicy()
-
-    def map(self, work: Callable, items: Sequence) -> list:
-        if len(items) <= 1:
-            return [work(item) for item in items]
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            return SerialExecutor().map(work, items)
-        recorder = active_recorder()
-        if recorder.recording:
-            work = _TelemetryWork(work, recorder.mode)
-        injector = active_injector()
-        token = next(_SHARED_TOKENS)
-        # The token must stay registered until every retry round is done
-        # (rebuilt pools fork afresh and re-inherit the registry), and must
-        # be released no matter how the map ends — including a work item
-        # raising — or the registry grows once per failed map.
-        _SHARED_WORK[token] = (work, items)
-        try:
-            if injector.executor_faults_active or self.retry.tile_timeout is not None:
-                results = self._map_submit(context, token, len(items), recorder)
-            else:
-                results = self._map_fast(context, token, len(items), recorder)
-        finally:
-            del _SHARED_WORK[token]
-        if recorder.recording:
-            results = _merge_worker_results(results, recorder)
-        return results
-
-    def _map_fast(self, context, token: int, n_items: int, recorder) -> list:
-        """The fault-free path: plain ``pool.map`` plus rebuild-and-resume."""
-        results: list = [None] * n_items
-        start = 0
-        rebuilds = 0
-        while start < n_items:
-            pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.max_workers, mp_context=context
-            )
-            yielded = 0
-            clean = False
-            try:
-                payloads = [(token, i) for i in range(start, n_items)]
-                for result in pool.map(_forked_cell, payloads):
-                    results[start + yielded] = result
-                    yielded += 1
-                clean = True
-                start = n_items
-            except BrokenProcessPool:
-                # Results stream in input order, so the yielded prefix is
-                # complete; everything after re-runs on a fresh pool
-                # (bitwise-safe: substreams are keyed, not positional).
-                start += yielded
-                recorder.counter("executor.worker_crashes")
-                recorder.counter("executor.pool_rebuilds")
-                if rebuilds >= self.retry.max_retries:
-                    raise ExecutorBrokenError(
-                        "process pool broke",
-                        completed={i: results[i] for i in range(start)},
-                        pending=tuple(range(start, n_items)),
-                        failure_mode=self.retry.failure_mode,
-                    ) from None
-                recorder.counter("executor.retries")
-                with recorder.span("executor.retry", pending=n_items - start):
-                    time.sleep(self.retry.delay(rebuilds))
-                rebuilds += 1
-            finally:
-                pool.shutdown(wait=clean, cancel_futures=not clean)
-        return results
-
-    def _map_submit(self, context, token: int, n_items: int, recorder) -> list:
-        """The chaos path: per-item futures with timeout + envelope checks."""
-        live: dict = {"pool": None}
-
-        def ensure_pool():
-            if live["pool"] is None:
-                live["pool"] = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self.max_workers, mp_context=context
-                )
-            return live["pool"]
-
-        def discard_pool(kill: bool) -> None:
-            pool, live["pool"] = live["pool"], None
-            if pool is None:
-                return
-            if kill:
-                _terminate_workers(pool)
-            pool.shutdown(wait=False, cancel_futures=True)
-
-        def submit(pool, index: int, attempt: int):
-            return pool.submit(_forked_cell_faulted, (token, index, attempt))
-
-        try:
-            return _resilient_collect(
-                n_items, ensure_pool, discard_pool, submit, self.retry, recorder
-            )
-        finally:
-            discard_pool(kill=False)
-
-
-class PooledThreadExecutor(CellExecutor):
-    """A persistent thread pool reused across ``map`` calls.
-
-    Functionally identical to :class:`ThreadExecutor` (threads share the
-    parent's memory, so nothing about the work changes); the only
-    difference is pool lifecycle — created lazily on first use, reused
-    until :meth:`close`, re-created transparently after.
-    """
-
-    name = "pooled-thread"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = max_workers or min(8, os.cpu_count() or 1)
+        self.max_workers = max_workers or default_max_workers()
         self._pool: concurrent.futures.ThreadPoolExecutor | None = None
 
     @property
@@ -544,22 +283,17 @@ class PooledThreadExecutor(CellExecutor):
         """The live pool, or ``None`` before first use / after close."""
         return self._pool
 
-    def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = concurrent.futures.ThreadPoolExecutor(self.max_workers)
-        return self._pool
-
     def map(self, work: Callable, items: Sequence) -> list:
         if len(items) <= 1:
             return [work(item) for item in items]
-        had_pool = self._pool is not None
-        pool = self._ensure_pool()
         recorder = active_recorder()
-        recorder.counter("pool.reused" if had_pool else "pool.created")
-        return list(pool.map(work, items))
+        recorder.counter("pool.reused" if self._pool is not None else "pool.created")
+        if self._pool is None:
+            self._pool = concurrent.futures.ThreadPoolExecutor(self.max_workers)
+        return list(self._pool.map(work, items))
 
     def close(self) -> None:
-        """Shut the pool down; the next ``map`` builds a fresh one.
+        """Shut the pool down, joining its threads.
 
         The pool reference is dropped *before* shutdown, so a failure
         mid-teardown can never leave a half-dead pool attached to the
@@ -574,43 +308,32 @@ class PooledThreadExecutor(CellExecutor):
         except Exception:
             pool.shutdown(wait=False, cancel_futures=True)
 
-    def __enter__(self) -> "PooledThreadExecutor":
-        return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+class ProcessExecutor(CellExecutor):
+    """Run items on a lazily created, persistent ``fork``-context process pool.
 
-
-class PooledProcessExecutor(CellExecutor):
-    """A persistent ``fork``-context process pool reused across ``map`` calls.
-
-    Work reaches the long-lived workers **by pickle** — the COW trick of
-    :class:`ProcessExecutor` only shares state that existed before the
-    fork, and a reusable pool forks once.  Work callables must therefore
-    be picklable (the runner's are); chunking pickles each callable about
-    ``max_workers`` times per call rather than once per item.  Results are
-    still position-assigned (``map`` output order == input order), and
+    Work reaches the workers **by pickle**, so work callables must be
+    picklable (the runner's are); chunking pickles each callable about
+    ``max_workers`` times per call rather than once per item.  Results
+    are position-assigned (``map`` output order == input order), and
     numpy arrays survive pickling bit-exactly, so scores are bitwise
-    identical to every other executor.
+    identical to every other executor.  Results should stay lightweight —
+    the tiled runner returns score/time lists, never prepared arrays.
 
-    On platforms without ``fork`` the executor degrades to serial
-    execution, like its one-shot sibling.
-
-    Self-healing mirrors :class:`ProcessExecutor`: a dead worker no
-    longer poisons the call — the carcass is dropped, a fresh pool forks,
-    and only unfinished items re-run (bounded by ``retry.max_retries``;
-    0 restores the historical drop-and-raise).  Chaos and timeout maps
-    route through the per-item submit path, where work reaches workers
-    as pickled ``(work, plan_text, item, index, attempt)`` submissions
-    and results come home in checksummed envelopes.
+    Self-healing: a dead worker does not poison the call — the carcass is
+    dropped, a fresh pool forks, and only unfinished items re-run
+    (bounded by ``retry.max_retries``; 0 restores fail-fast).  Chaos and
+    timeout maps route through the per-item submit path, where work
+    reaches workers as pickled ``(work, plan_text, item, index, attempt)``
+    submissions and results come home in checksummed envelopes.
     """
 
-    name = "pooled-process"
+    name = "process"
 
     def __init__(
         self, max_workers: int | None = None, retry: RetryPolicy | None = None
     ) -> None:
-        self.max_workers = max_workers or min(8, os.cpu_count() or 1)
+        self.max_workers = max_workers or default_max_workers()
         self.retry = retry if retry is not None else RetryPolicy()
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
 
@@ -667,16 +390,17 @@ class PooledProcessExecutor(CellExecutor):
                     yielded += 1
                 start = n_items
             except BrokenProcessPool:
-                # A dead worker poisons the whole persistent pool.  Keep
-                # the in-order completed prefix, drop the carcass, fork a
-                # fresh pool and resume from the first unfinished item.
+                # A dead worker poisons the whole pool.  Keep the in-order
+                # completed prefix, drop the carcass, fork a fresh pool and
+                # resume from the first unfinished item (bitwise-safe:
+                # substreams are keyed, not positional).
                 start += yielded
                 self.close()
                 recorder.counter("executor.worker_crashes")
                 recorder.counter("executor.pool_rebuilds")
                 if rebuilds >= self.retry.max_retries:
                     raise ExecutorBrokenError(
-                        "persistent process pool broke",
+                        "process pool broke",
                         completed={i: results[i] for i in range(start)},
                         pending=tuple(range(start, n_items)),
                         failure_mode=self.retry.failure_mode,
@@ -690,37 +414,107 @@ class PooledProcessExecutor(CellExecutor):
     def _map_submit(
         self, work: Callable, items: Sequence, injector: FaultInjector, recorder
     ) -> list:
-        """The chaos path: per-item pickled submissions with fault hooks."""
+        """The chaos path: per-item pickled submissions with fault hooks.
+
+        Each round submits every unfinished item (with its attempt count) and
+        collects results in input order.  Crashes (``BrokenProcessPool``),
+        hangs (``tile_timeout`` exceeded) and corrupt result envelopes mark
+        their items failed and — for the first two — condemn the pool, which
+        :func:`_discard` tears down so the next round starts on a fresh fork.
+        Genuine exceptions raised *by the work* propagate immediately: a
+        deterministic bug would fail every retry identically, and masking it
+        as an executor failure would turn a wrong answer into a slow wrong
+        answer.
+
+        ``retry.max_retries`` bounds consecutive rounds that complete zero
+        items; a round with any progress keeps the loop alive, so a pool
+        that crashes repeatedly while still advancing is drained rather than
+        abandoned.  Exhaustion raises
+        :class:`~repro.exceptions.ExecutorBrokenError` with the completed
+        prefix and pending positions, letting callers resume elsewhere.
+        """
         plan_text = injector.describe()
-
-        def ensure_pool():
-            return self._ensure_pool()
-
-        def discard_pool(kill: bool) -> None:
-            pool, self._pool = self._pool, None
-            if pool is None:
-                return
-            if kill:
-                _terminate_workers(pool)
-            pool.shutdown(wait=False, cancel_futures=True)
-
-        def submit(pool, index: int, attempt: int):
-            return pool.submit(
-                _pooled_cell_faulted, work, plan_text, items[index], index, attempt
-            )
-
-        return _resilient_collect(
-            len(items), ensure_pool, discard_pool, submit, self.retry, recorder
-        )
+        n_items = len(items)
+        results: list = [None] * n_items
+        done = [False] * n_items
+        attempts = [0] * n_items
+        wasted_rounds = 0
+        while not all(done):
+            pending = [i for i in range(n_items) if not done[i]]
+            pool = self._ensure_pool()
+            futures: dict = {}
+            broke = False
+            try:
+                for i in pending:
+                    futures[i] = pool.submit(
+                        _faulted_cell, work, plan_text, items[i], i, attempts[i]
+                    )
+            except BrokenProcessPool:
+                # A fast crash can poison the pool while this round is still
+                # being submitted, making submit() itself raise.  Items that
+                # never got a future fail the round; the submitted ones are
+                # harvested below like any other broken-pool round.
+                recorder.counter("executor.worker_crashes")
+                broke = True
+            completed_this_round = 0
+            failed: list[int] = [i for i in pending if i not in futures]
+            hung = False
+            for i in pending:
+                future = futures.get(i)
+                if future is None:
+                    continue
+                if broke:
+                    # The pool is condemned; harvest items that finished
+                    # before the break without blocking on the rest.
+                    if not future.done():
+                        failed.append(i)
+                        continue
+                try:
+                    timeout = None if broke else self.retry.tile_timeout
+                    results[i] = _maybe_unseal(future.result(timeout=timeout))
+                    done[i] = True
+                    completed_this_round += 1
+                except concurrent.futures.TimeoutError:
+                    recorder.counter("executor.timeouts")
+                    failed.append(i)
+                    hung = True
+                except _CorruptPayloadError:
+                    recorder.counter("executor.payload_corruptions")
+                    failed.append(i)
+                except BrokenProcessPool:
+                    recorder.counter("executor.worker_crashes")
+                    failed.append(i)
+                    broke = True
+            if broke or hung:
+                condemned, self._pool = self._pool, None
+                _discard(condemned)
+                recorder.counter("executor.pool_rebuilds")
+            if not failed:
+                continue
+            for i in failed:
+                attempts[i] += 1
+            if completed_this_round == 0:
+                wasted_rounds += 1
+                if wasted_rounds > self.retry.max_retries:
+                    raise ExecutorBrokenError(
+                        "hung worker" if hung else "worker crash or corrupt result",
+                        completed={i: results[i] for i in range(n_items) if done[i]},
+                        pending=tuple(i for i in range(n_items) if not done[i]),
+                        failure_mode=self.retry.failure_mode,
+                    )
+            recorder.counter("executor.retries", len(failed))
+            with recorder.span("executor.retry", pending=len(failed)):
+                time.sleep(self.retry.delay(max(0, wasted_rounds - 1)))
+        return results
 
     def close(self) -> None:
-        """Shut the pool down; the next ``map`` builds a fresh one.
+        """Shut the pool down, joining its workers.
 
         Defensive against a *broken* pool (the state a long-lived session
         closes from after :class:`~repro.exceptions.ExecutorBrokenError`):
         the reference is dropped before shutdown so failure mid-teardown
         cannot leave a half-dead pool attached, and if shutdown raises,
-        surviving workers are terminated outright rather than leaked.
+        surviving workers are terminated and reaped rather than leaked.
         """
         pool, self._pool = self._pool, None
         if pool is None:
@@ -728,17 +522,15 @@ class PooledProcessExecutor(CellExecutor):
         try:
             pool.shutdown()
         except Exception:
-            _terminate_workers(pool)
             try:
-                pool.shutdown(wait=False, cancel_futures=True)
+                _discard(pool)
             except Exception:  # pragma: no cover - teardown must not raise
                 pass
 
-    def __enter__(self) -> "PooledProcessExecutor":
-        return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+#: The pre-2.0 names of the pooled executors, kept importable.
+PooledThreadExecutor = ThreadExecutor
+PooledProcessExecutor = ProcessExecutor
 
 
 _EXECUTORS = {
@@ -749,7 +541,11 @@ _EXECUTORS = {
 
 
 def get_executor(executor: str | CellExecutor) -> CellExecutor:
-    """Resolve an executor by name (``serial|thread|process``) or pass through."""
+    """Resolve an executor by name (``serial|thread|process``) or pass through.
+
+    An executor built here from a name belongs to the caller, who closes
+    it (``with get_executor(name) as executor: ...``).
+    """
     if isinstance(executor, CellExecutor):
         return executor
     try:

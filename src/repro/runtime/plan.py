@@ -36,10 +36,11 @@ comparable at the bitwise level rather than just statistically.
 
 Prepared-data reuse
 -------------------
-A :class:`PreparedDataCache` can be shared by several plans (the harness's
-``evaluate_algorithms`` shares one across every algorithm of a panel, and a
-:class:`TiledPlan` shares one across its tiles).  It provides two reuses,
-both bit-exact because they only share *identical* values:
+A :class:`PreparedDataCache` can be shared by several plans (a
+:class:`~repro.session.Session` shares one across every algorithm of a
+panel and across calls, and a :class:`TiledPlan` shares one across its
+tiles).  It provides two reuses, both bit-exact because they only share
+*identical* values:
 
 * **prepared repetition arrays** — whenever a repetition's working dataset
   is the raw dataset itself (no preset subsample, sampling rate 1.0 — which
@@ -201,10 +202,10 @@ class PreparedDataCache:
     def __reduce__(self):
         # A cache's entries are keyed by object identity and held through
         # weak references — both meaningless in another process.  Work
-        # shipped to a persistent process pool (PooledProcessExecutor)
-        # pickles plans that carry a cache, so pickle one as a fresh empty
-        # cache: the receiver rebuilds what it needs, and every rebuild
-        # produces the identical values (the cache is pure optimization).
+        # shipped to a process pool (ProcessExecutor) pickles plans that
+        # carry a cache, so pickle one as a fresh empty cache: the
+        # receiver rebuilds what it needs, and every rebuild produces the
+        # identical values (the cache is pure optimization).
         return (type(self), ())
 
     def task_arrays(self, dataset, task: Task, dims: int):
@@ -456,11 +457,11 @@ def plan_cells(
     fold permutation, all from the repetition substream in that order — so
     executing the plan reproduces the loop bit for bit.
 
-    Parameters mirror :func:`repro.experiments.harness.evaluate_algorithm`,
-    except ``epsilons`` is a vector: a multi-budget plan shares each
-    repetition's subsample and folds across budgets (the one-pass layout of
-    :func:`~repro.experiments.harness.evaluate_fm_budget_sweep`), while a
-    single-budget plan is exactly one harness sweep point.
+    Parameters mirror :meth:`repro.session.Session.evaluate`, except
+    ``epsilons`` is a vector: a multi-budget plan shares each repetition's
+    subsample and folds across budgets (the one-pass layout of
+    :meth:`~repro.session.Session.budget_sweep`), while a single-budget
+    plan is exactly one harness sweep point.
     ``stream_version`` selects the :func:`derive_substream` format (the
     default, 1, is the historical derivation); ``prepared_cache`` opts into
     cross-plan prepared-data reuse.

@@ -24,9 +24,9 @@ Three plan shapes feed those modes:
   exactly as in the eager runtime;
 * a :class:`~repro.runtime.plan.TiledPlan` materializes bounded repetition
   tiles on demand — each tile executes as its own stacked batch, and with a
-  thread/process executor whole tiles are dispatched in parallel (the
-  forked workers materialize their tiles from the copy-on-write-shared raw
-  dataset, so the parent never holds more than its own tile).  Tile results
+  thread/process executor whole tiles are dispatched in parallel (each
+  worker materializes its own tile from the raw dataset, so the parent
+  never holds more than its own tile).  Tile results
   reduce in tile order, which makes any tiling and any executor bitwise
   identical to the untiled serial run;
 * :func:`run_plan_group` executes several algorithms' plans as one group:
@@ -43,6 +43,7 @@ either mode, optionally spread over a :mod:`~repro.runtime.executor`
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -230,9 +231,9 @@ def _mapped(executor: CellExecutor, work, items) -> list:
         for i, result in err.completed.items():
             results[i] = result
         pending = list(err.pending)
-        for stage in (ThreadExecutor(), SerialExecutor()):
+        for stage_cls in (ThreadExecutor, SerialExecutor):
             recorder.counter("executor.fallbacks")
-            with recorder.span(
+            with stage_cls() as stage, recorder.span(
                 "executor.fallback", to=stage.name, pending=len(pending)
             ):
                 try:
@@ -256,8 +257,7 @@ class _PercellFoldWork:
 
     A module-level callable (not a closure) so persistent process pools
     can ship it by pickle; items are fold *indices*, which keeps the heavy
-    plan pickled once per chunk rather than once per item.  The one-shot
-    COW executors never pickle it at all.
+    plan pickled once per chunk rather than once per item.
     """
 
     plan: CellPlan
@@ -651,6 +651,17 @@ def _run_batched_single(plan: CellPlan, executor: CellExecutor) -> PlanResult:
     return _run_percell(plan, executor)
 
 
+def _owned(executor: str | CellExecutor):
+    """``with`` scope for an executor argument.
+
+    A name builds an executor that the scope closes on exit; a
+    constructed executor belongs to its caller and stays open.
+    """
+    if isinstance(executor, CellExecutor):
+        return contextlib.nullcontext(executor)
+    return get_executor(executor)
+
+
 def run_plan(
     plan: CellPlan | TiledPlan,
     mode: str = "batched",
@@ -674,14 +685,15 @@ def run_plan(
         or a constructed :class:`~repro.runtime.executor.CellExecutor`.
         For an eager plan this spreads per-cell work (non-batchable
         baselines, or everything under ``"percell"``); for a tiled plan
-        with more than one tile it dispatches whole tiles.
+        with more than one tile it dispatches whole tiles.  An executor
+        built from a name is closed before this returns; a constructed
+        one stays open for its owner.
     """
     if isinstance(plan, TiledPlan):
         return run_plan_group([plan], mode=mode, executor=executor)[0]
-    resolved = get_executor(executor)
     if mode not in ("batched", "percell"):
         raise ExperimentError(f"unknown runtime mode {mode!r}; use 'batched' or 'percell'")
-    with active_recorder().span(
+    with _owned(executor) as resolved, active_recorder().span(
         "plan.run", mode=mode, algorithm=plan.algorithm, cells=plan.n_cells
     ):
         if mode == "percell":
@@ -710,14 +722,16 @@ def run_plan_group(
     ``tile_size``); tile ``t`` of every plan executes together, and with a
     thread/process executor whole tiles run in parallel while results
     reduce in tile order, keeping output independent of scheduling.
+    ``executor`` is resolved and closed as in :func:`run_plan`.
     """
     plans = list(plans)
     if not plans:
         return []
     if mode not in ("batched", "percell"):
         raise ExperimentError(f"unknown runtime mode {mode!r}; use 'batched' or 'percell'")
-    resolved = get_executor(executor)
-    with active_recorder().span("plan.group", mode=mode, plans=len(plans)):
+    with _owned(executor) as resolved, active_recorder().span(
+        "plan.group", mode=mode, plans=len(plans)
+    ):
         if all(isinstance(p, CellPlan) for p in plans):
             return _run_group_eager(plans, mode, resolved)
         if all(isinstance(p, TiledPlan) for p in plans):
@@ -755,9 +769,8 @@ class _TileGroupWork:
 
     Module-level and picklable (plans pickle their datasets; a carried
     ``PreparedDataCache`` pickles as a fresh one) so a persistent process
-    pool can ship whole tiles; the one-shot fork executor keeps reaching
-    it through copy-on-write without any pickling.  Only the lightweight
-    score/time lists travel back either way.
+    pool can ship whole tiles.  Only the lightweight score/time lists
+    travel back.
     """
 
     plans: tuple[TiledPlan, ...]
@@ -782,9 +795,9 @@ def _run_group_tiled(
     Each tile materializes every plan's repetitions for that tile, executes
     them as an eager group (merged solves included) and returns only the
     lightweight score/time lists — the prepared arrays never leave the
-    tile's scope (or, under the process executor, the forked worker).  With
+    tile's scope (or, under the process executor, the worker).  With
     more than one tile, whole tiles dispatch across the executor: workers
-    materialize their tiles from the copy-on-write-shared raw dataset, so
+    materialize their tiles from the raw dataset the work carries, so
     peak resident memory is ``min(n_tiles, workers)`` tiles rather than the
     whole protocol.  With a single tile, the executor instead spreads
     per-cell work inside the tile, preserving the eager path's cell-level

@@ -315,9 +315,10 @@ class ServeApp:
     def _fit_executor(self, deadline: Deadline | None):
         """A per-request executor honoring policy + the remaining deadline.
 
-        Fresh per request on purpose: concurrent fits must not share one
-        pool's rebuild state, and ``tile_timeout`` is a per-request value
-        (the deadline's remainder), which a shared pool cannot carry.
+        Fresh per request (and closed by the caller) on purpose:
+        concurrent fits must not share one pool's rebuild state, and
+        ``tile_timeout`` is a per-request value (the deadline's
+        remainder), which a shared pool cannot carry.
         Timeout enforcement is a process-executor capability; serial and
         thread fits run to completion (and are the fallback floor anyway).
         """
@@ -362,13 +363,8 @@ class ServeApp:
             partition_site=_partition_site(partition),
         )
         items = [(i, eps) for i, eps in enumerate(epsilons)]
-        executor = self._fit_executor(deadline)
-        try:
+        with self._fit_executor(deadline) as executor:
             rows = _mapped(executor, work, items)
-        finally:
-            close = getattr(executor, "close", None)
-            if close is not None:
-                close()
         return np.asarray(rows, dtype=float)
 
     def status(self, name: str) -> dict:

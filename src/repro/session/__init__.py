@@ -1,6 +1,6 @@
 """`repro.session` — the unified Session / ExecutionPolicy API.
 
-The canonical way to run this reproduction since PR 5:
+The way to run this reproduction:
 
 * :class:`ExecutionPolicy` — one frozen, validated value for every
   execution knob (runtime, executor + pool width, tiling, stream
@@ -11,9 +11,6 @@ The canonical way to run this reproduction since PR 5:
   persistent prepared-data cache, a reusable executor pool, and the
   dataset registry; ``evaluate`` / ``evaluate_panel`` / ``budget_sweep``
   / ``sweep`` / ``figure`` are the canonical entry points.
-
-The legacy free functions keep working through deprecation shims
-(:mod:`repro.session.compat`) with bitwise-identical results.
 """
 
 from .policy import (

@@ -42,8 +42,8 @@ Environment variables (all optional)::
 
 The ``stream_version`` default flip (ROADMAP) has landed: the
 :data:`DEFAULT_STREAM_VERSION` constant below is now ``2`` (the
-alias-free derivation), and every session, CLI invocation, legacy shim
-and golden group that does not pin a version resolves through it.
+alias-free derivation), and every session, CLI invocation and golden
+group that does not pin a version resolves through it.
 Version 1 remains fully supported — pin ``stream_version=1`` to
 reproduce the historical streams; the ``*-sv1`` golden groups keep it
 under test.

@@ -1,16 +1,14 @@
 """The `Session` facade: process state + an `ExecutionPolicy`, one object.
 
-A Session is what the free functions of :mod:`repro.experiments` never
-had: a place for state that should outlive a single call.
+A Session is the place for state that should outlive a single call.
 
 * a persistent :class:`~repro.runtime.PreparedDataCache` — prepared
   arrays and fold-level moment blocks reuse across *calls*, not just
   across the algorithms of one panel (bit-exactly: the cache only ever
   shares identical values);
-* a lazily created, **reusable executor pool** — the legacy path spun a
-  fresh thread/process pool up inside every ``run_plan`` call; a Session
-  holds one :class:`~repro.runtime.PooledThreadExecutor` /
-  :class:`~repro.runtime.PooledProcessExecutor` and reuses it until
+* a lazily created, **reusable executor pool** — one
+  :class:`~repro.runtime.ThreadExecutor` /
+  :class:`~repro.runtime.ProcessExecutor`, reused by every call until
   :meth:`Session.close`;
 * a dataset registry — :meth:`Session.dataset` loads and caches the
   census tables at the policy's scale.
@@ -18,8 +16,9 @@ had: a place for state that should outlive a single call.
 Every entry point reads its execution knobs from the session's frozen
 :class:`~repro.session.ExecutionPolicy` instead of a threaded kwarg blob;
 protocol-level arguments (which algorithm, which dataset, which epsilon)
-stay per-call.  Results are bitwise identical to the legacy free
-functions at every policy — asserted by ``tests/session/``.
+stay per-call.  The session's state never changes a result: scores are
+bitwise identical to the bare protocol bodies at every policy — asserted
+by ``tests/session/``.
 
 Usage::
 
@@ -50,17 +49,15 @@ from ..exceptions import ExperimentError
 from ..faults import RetryPolicy, make_injector, use_injector
 from ..obs import make_recorder, use_recorder
 from ..experiments.config import DEFAULT_DIMENSIONALITY, ScalePreset
-from ..experiments.figures import SweepResult, _accuracy_sweep_impl
+from ..experiments.figures import SweepResult, _accuracy_sweep
 from ..experiments.harness import (
     EvaluationResult,
-    _evaluate_algorithm_impl,
-    _evaluate_algorithms_impl,
-    _evaluate_fm_budget_sweep_impl,
+    _evaluate_algorithm,
+    _evaluate_panel,
+    _fm_budget_sweep,
 )
 from ..runtime import (
     CellExecutor,
-    PooledProcessExecutor,
-    PooledThreadExecutor,
     PreparedDataCache,
     ProcessExecutor,
     SerialExecutor,
@@ -88,28 +85,14 @@ class Session:
         The execution policy; ``None`` resolves one from the environment
         (``REPRO_*`` variables / ``REPRO_POLICY_FILE``) over the class
         defaults.
-    reuse_pool:
-        With ``True`` (default) the session holds one persistent
-        thread/process pool across calls.  ``False`` restores the legacy
-        one-shot lifecycle — a fresh pool per ``run_plan`` call, which
-        for processes also restores fork-time copy-on-write sharing; the
-        compatibility shims use this so deprecated entry points execute
-        exactly as before.
     **overrides:
         Policy fields to :meth:`~ExecutionPolicy.derive` over ``policy``
         (``Session(executor="thread", tile_size=1)`` is shorthand).
     """
 
-    def __init__(
-        self,
-        policy: ExecutionPolicy | None = None,
-        *,
-        reuse_pool: bool = True,
-        **overrides,
-    ) -> None:
+    def __init__(self, policy: ExecutionPolicy | None = None, **overrides) -> None:
         base = ExecutionPolicy.resolve() if policy is None else policy
         self.policy = base.derive(**overrides) if overrides else base
-        self._reuse_pool = bool(reuse_pool)
         self._prepared_cache = PreparedDataCache()
         self._executor: CellExecutor | None = None
         self._datasets: dict[tuple[str, int | None], CensusDataset] = {}
@@ -176,16 +159,14 @@ class Session:
             if kind == "serial":
                 self._executor = SerialExecutor()
             elif kind == "thread":
-                cls = PooledThreadExecutor if self._reuse_pool else ThreadExecutor
-                self._executor = cls(workers)
+                self._executor = ThreadExecutor(workers)
             else:
                 retry = RetryPolicy(
                     max_retries=self.policy.max_retries,
                     tile_timeout=self.policy.tile_timeout,
                     failure_mode=self.policy.failure_mode,
                 )
-                cls = PooledProcessExecutor if self._reuse_pool else ProcessExecutor
-                self._executor = cls(workers, retry=retry)
+                self._executor = ProcessExecutor(workers, retry=retry)
         return self._executor
 
     def dataset(
@@ -246,7 +227,7 @@ class Session:
         executor, self._executor = self._executor, None
         adopted, self._adopted = self._adopted, []
         failures = 0
-        if executor is not None and hasattr(executor, "close"):
+        if executor is not None:
             try:
                 executor.close()
             except Exception:
@@ -335,8 +316,7 @@ class Session:
     ) -> EvaluationResult:
         """Run the repeated-CV protocol for one algorithm at one point.
 
-        The session equivalent of the legacy ``evaluate_algorithm``:
-        execution comes from the policy (and the session's cache/pool),
+        Execution comes from the policy (and the session's cache/pool);
         protocol arguments stay per-call with policy-backed defaults.
         """
         with use_recorder(self._recorder), use_injector(self._injector), use_backend(
@@ -344,7 +324,7 @@ class Session:
         ), self._recorder.span(
             "session.evaluate", algorithm=algorithm, task=task
         ):
-            return _evaluate_algorithm_impl(
+            return _evaluate_algorithm(
                 algorithm,
                 dataset,
                 task,
@@ -378,7 +358,7 @@ class Session:
         ), self._recorder.span(
             "session.evaluate_panel", algorithms=list(algorithms), task=task
         ):
-            return _evaluate_algorithms_impl(
+            return _evaluate_panel(
                 algorithms,
                 dataset,
                 task,
@@ -411,15 +391,14 @@ class Session:
 
         ``runtime`` overrides the policy for this call (budget sweeps
         understand ``"auto"`` and ``"engine"`` beyond the point modes);
-        ``policy.shards > 1`` requires an engine-capable runtime, exactly
-        as the legacy signature did.
+        ``policy.shards > 1`` requires an engine-capable runtime.
         """
         with use_recorder(self._recorder), use_injector(self._injector), use_backend(
             self._backend
         ), self._recorder.span(
             "session.budget_sweep", task=task, points=len(epsilons)
         ):
-            return _evaluate_fm_budget_sweep_impl(
+            return _fm_budget_sweep(
                 dataset,
                 task,
                 dims,
@@ -461,7 +440,7 @@ class Session:
         ), self._recorder.span(
             "session.sweep", parameter=parameter, figure=figure
         ):
-            return _accuracy_sweep_impl(
+            return _accuracy_sweep(
                 dataset,
                 task,
                 parameter,
@@ -491,8 +470,8 @@ class Session:
     ) -> SweepResult:
         """Run one registered sweep figure (figures 4-9) under the policy.
 
-        Dispatches through :mod:`repro.session.registry` — the single
-        driver path the per-figure functions used to duplicate.  On the
+        Dispatches through :mod:`repro.session.registry`, the single
+        figure driver path.  On the
         budget figures (6, 9) ``policy.shards`` parallelizes the FM
         series' statistics pass; elsewhere inapplicable policy fields
         trigger a :class:`UserWarning` when set.

@@ -1,4 +1,4 @@
-"""Tests for the repeated cross-validation harness."""
+"""Tests for the repeated cross-validation harness (through the Session)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,10 @@ import pytest
 from repro.data.census import load_us
 from repro.exceptions import ExperimentError
 from repro.experiments.config import SMOKE, ScalePreset
-from repro.experiments.harness import evaluate_algorithm, evaluate_algorithms
+from repro.session import ExecutionPolicy, Session
+
+#: Serial policy: no pool to close, and no REPRO_* environment layer.
+SESSION = Session(ExecutionPolicy())
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +19,7 @@ def us():
 
 class TestEvaluateAlgorithm:
     def test_basic_run(self, us):
-        result = evaluate_algorithm(
+        result = SESSION.evaluate(
             "NoPrivacy", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=0
         )
         assert result.algorithm == "NoPrivacy"
@@ -25,27 +28,27 @@ class TestEvaluateAlgorithm:
         assert result.mean_fit_seconds > 0.0
 
     def test_train_size_accounts_for_folds(self, us):
-        result = evaluate_algorithm(
+        result = SESSION.evaluate(
             "NoPrivacy", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=0
         )
         expected_n = SMOKE.cardinality(us.n)
         assert result.n_train == pytest.approx(expected_n * 2 / 3, abs=2)
 
     def test_seeded_reproducibility(self, us):
-        a = evaluate_algorithm("FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=3)
-        b = evaluate_algorithm("FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=3)
+        a = SESSION.evaluate("FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=3)
+        b = SESSION.evaluate("FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=3)
         assert a.mean_score == b.mean_score
 
     def test_different_seeds_differ(self, us):
-        a = evaluate_algorithm("FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=3)
-        b = evaluate_algorithm("FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=4)
+        a = SESSION.evaluate("FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=3)
+        b = SESSION.evaluate("FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=4)
         assert a.mean_score != b.mean_score
 
     def test_sampling_rate_shrinks_training(self, us):
-        full = evaluate_algorithm(
+        full = SESSION.evaluate(
             "NoPrivacy", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=0
         )
-        half = evaluate_algorithm(
+        half = SESSION.evaluate(
             "NoPrivacy", us, "linear", dims=5, epsilon=0.8, preset=SMOKE,
             sampling_rate=0.5, seed=0,
         )
@@ -53,19 +56,19 @@ class TestEvaluateAlgorithm:
 
     def test_invalid_sampling_rate(self, us):
         with pytest.raises(ExperimentError):
-            evaluate_algorithm(
+            SESSION.evaluate(
                 "NoPrivacy", us, "linear", dims=5, epsilon=0.8,
                 preset=SMOKE, sampling_rate=0.0,
             )
 
     def test_logistic_task(self, us):
-        result = evaluate_algorithm(
+        result = SESSION.evaluate(
             "Truncated", us, "logistic", dims=5, epsilon=0.8, preset=SMOKE, seed=0
         )
         assert 0.0 <= result.mean_score <= 0.5
 
     def test_algorithm_kwargs_forwarded(self, us):
-        result = evaluate_algorithm(
+        result = SESSION.evaluate(
             "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=0,
             algorithm_kwargs={"tight_sensitivity": True},
         )
@@ -75,7 +78,7 @@ class TestEvaluateAlgorithm:
         # NoPrivacy test MSE must be near train MSE but strictly computed on
         # held-out data: use a tiny preset so overfit would show.
         tiny = ScalePreset(name="tiny", max_records=60, folds=3, repetitions=1)
-        result = evaluate_algorithm(
+        result = SESSION.evaluate(
             "NoPrivacy", us, "linear", dims=14, epsilon=0.8, preset=tiny, seed=0
         )
         # 13 features on 40 training rows overfits; held-out error must
@@ -85,14 +88,14 @@ class TestEvaluateAlgorithm:
 
 class TestEvaluateAlgorithms:
     def test_returns_all(self, us):
-        results = evaluate_algorithms(
+        results = SESSION.evaluate_panel(
             ["NoPrivacy", "FM"], us, "linear", dims=5, epsilon=0.8,
             preset=SMOKE, seed=0,
         )
         assert set(results) == {"NoPrivacy", "FM"}
 
     def test_noprivacy_at_least_as_good_on_average(self, us):
-        results = evaluate_algorithms(
+        results = SESSION.evaluate_panel(
             ["NoPrivacy", "FM"], us, "linear", dims=5, epsilon=0.4,
             preset=SMOKE, seed=1,
         )

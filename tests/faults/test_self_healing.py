@@ -6,6 +6,7 @@ genuinely killed pool returns *exactly* what the fault-free map returns
 — recovery is invisible in the results, visible only in telemetry.
 """
 
+import multiprocessing
 import os
 import signal
 import time
@@ -17,12 +18,7 @@ from hypothesis import strategies as st
 from repro.exceptions import ExecutorBrokenError
 from repro.faults import FaultPlan, RetryPolicy, make_injector, use_injector
 from repro.obs import make_recorder, use_recorder
-from repro.runtime import (
-    PooledProcessExecutor,
-    ProcessExecutor,
-    SerialExecutor,
-)
-from repro.runtime.executor import _SHARED_WORK
+from repro.runtime import ProcessExecutor, SerialExecutor
 from repro.runtime.runner import _mapped
 
 
@@ -41,14 +37,16 @@ def _chaos(spec: str):
 
 class TestCrashRecovery:
     def test_one_shot_process_recovers_from_certain_crash(self):
+        """An executor built for a single map (the lifecycle of
+        ``run_plan(executor="process")``) heals within that map."""
         items = list(range(6))
-        executor = ProcessExecutor(max_workers=2)
-        with _chaos("seed=2;worker.crash=1.0x1"):
-            assert executor.map(_square, items) == [v * v for v in items]
+        with ProcessExecutor(max_workers=2) as executor:
+            with _chaos("seed=2;worker.crash=1.0x1"):
+                assert executor.map(_square, items) == [v * v for v in items]
 
     def test_pooled_process_recovers_from_certain_crash(self):
         items = list(range(6))
-        with PooledProcessExecutor(max_workers=2) as executor:
+        with ProcessExecutor(max_workers=2) as executor:
             with _chaos("seed=2;worker.crash=1.0x1"):
                 assert executor.map(_square, items) == [v * v for v in items]
             # the rebuilt pool keeps serving fault-free maps
@@ -57,8 +55,9 @@ class TestCrashRecovery:
     def test_payload_corruption_detected_and_retried(self):
         items = list(range(5))
         recorder = make_recorder("summary")
-        executor = ProcessExecutor(max_workers=2)
-        with use_recorder(recorder), _chaos("seed=4;payload.corrupt=1.0x1"):
+        with ProcessExecutor(max_workers=2) as executor, use_recorder(
+            recorder
+        ), _chaos("seed=4;payload.corrupt=1.0x1"):
             assert executor.map(_square, items) == [v * v for v in items]
         counters = recorder.summary()["counters"]
         assert counters.get("executor.payload_corruptions", 0) >= 1
@@ -67,18 +66,36 @@ class TestCrashRecovery:
     def test_hung_tile_times_out_and_retries(self):
         items = list(range(3))
         retry = RetryPolicy(tile_timeout=0.5, backoff_seconds=0.01)
-        executor = ProcessExecutor(max_workers=2, retry=retry)
-        with _chaos("seed=6;hang=30.0;tile.hang=1.0x1"):
+        with ProcessExecutor(max_workers=2, retry=retry) as executor, _chaos(
+            "seed=6;hang=30.0;tile.hang=1.0x1"
+        ):
             start = time.monotonic()
             assert executor.map(_square, items) == [v * v for v in items]
             # recovery must come from the timeout, not from waiting out the hang
             assert time.monotonic() - start < 25.0
 
+    def test_hung_worker_that_ignores_sigterm_is_reaped(self):
+        """Workers fork with the parent's signal handlers; the serving
+        layer's asyncio loop makes SIGTERM a no-op, so a condemned pool's
+        hung worker must be killed outright, not terminated and waited on."""
+        retry = RetryPolicy(tile_timeout=0.5, backoff_seconds=0.01)
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            start = time.monotonic()
+            with ProcessExecutor(max_workers=2, retry=retry) as executor, _chaos(
+                "seed=6;hang=30.0;tile.hang=1.0x1"
+            ):
+                assert executor.map(_square, [0, 1, 2]) == [0, 1, 4]
+            assert time.monotonic() - start < 25.0
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert multiprocessing.active_children() == []
+
     def test_real_killed_pool_worker_recovers(self):
         """Not an injected crash: SIGKILL a live worker process and assert
         the pooled executor rebuilds and completes the next map."""
         items = list(range(4))
-        with PooledProcessExecutor(max_workers=2) as executor:
+        with ProcessExecutor(max_workers=2) as executor:
             assert executor.map(_square, items) == [v * v for v in items]
             victim = next(iter(executor.pool._processes))
             os.kill(victim, signal.SIGKILL)
@@ -92,8 +109,9 @@ class TestCrashRecovery:
 class TestRetryExhaustion:
     def test_raise_mode_surfaces_broken_error_with_progress(self):
         retry = RetryPolicy(max_retries=1, backoff_seconds=0.01)
-        executor = ProcessExecutor(max_workers=2, retry=retry)
-        with _chaos("seed=2;worker.crash=1.0x99"):
+        with ProcessExecutor(max_workers=2, retry=retry) as executor, _chaos(
+            "seed=2;worker.crash=1.0x99"
+        ):
             with pytest.raises(ExecutorBrokenError) as excinfo:
                 executor.map(_square, list(range(4)))
         error = excinfo.value
@@ -104,18 +122,20 @@ class TestRetryExhaustion:
         retry = RetryPolicy(
             max_retries=0, backoff_seconds=0.01, failure_mode="fallback"
         )
-        executor = ProcessExecutor(max_workers=2, retry=retry)
         items = list(range(5))
         recorder = make_recorder("summary")
-        with use_recorder(recorder), _chaos("seed=2;worker.crash=1.0x99"):
+        with ProcessExecutor(max_workers=2, retry=retry) as executor, use_recorder(
+            recorder
+        ), _chaos("seed=2;worker.crash=1.0x99"):
             assert _mapped(executor, _square, items) == [v * v for v in items]
         counters = recorder.summary()["counters"]
         assert counters.get("executor.fallbacks", 0) >= 1
 
     def test_zero_retries_restores_fail_fast(self):
         retry = RetryPolicy(max_retries=0, backoff_seconds=0.01)
-        executor = ProcessExecutor(max_workers=2, retry=retry)
-        with _chaos("seed=2;worker.crash=1.0x99"):
+        with ProcessExecutor(max_workers=2, retry=retry) as executor, _chaos(
+            "seed=2;worker.crash=1.0x99"
+        ):
             with pytest.raises(ExecutorBrokenError):
                 executor.map(_square, list(range(3)))
 
@@ -125,28 +145,27 @@ class TestGenuineExceptions:
         """A deterministic bug must fail immediately — retrying it would
         only turn a wrong answer into a slow wrong answer."""
         recorder = make_recorder("summary")
-        executor = ProcessExecutor(max_workers=2)
-        with use_recorder(recorder):
+        with ProcessExecutor(max_workers=2) as executor, use_recorder(recorder):
             with pytest.raises(ValueError, match="genuine bug"):
                 executor.map(_boom, list(range(3)))
         assert recorder.summary()["counters"].get("executor.retries", 0) == 0
 
-    def test_shared_work_registry_never_leaks(self):
-        """Satellite regression: a raising work item must not leave its
-        fork-sharing token behind (mapped twice to catch growth)."""
-        executor = ProcessExecutor(max_workers=2)
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                executor.map(_boom, list(range(3)))
-        assert len(_SHARED_WORK) == 0
-        # the chaos path releases its token too, even through fallback
+    def test_raising_work_leaves_no_worker_behind(self):
+        """A raising work item must not strand pool workers once the
+        executor closes — on the fast path and through a chaos fallback."""
+        with ProcessExecutor(max_workers=2) as executor:
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    executor.map(_boom, list(range(3)))
+        assert multiprocessing.active_children() == []
         retry = RetryPolicy(
             max_retries=0, backoff_seconds=0.01, failure_mode="fallback"
         )
-        chaotic = ProcessExecutor(max_workers=2, retry=retry)
-        with _chaos("seed=2;worker.crash=1.0x99"):
+        with ProcessExecutor(max_workers=2, retry=retry) as chaotic, _chaos(
+            "seed=2;worker.crash=1.0x99"
+        ):
             _mapped(chaotic, _square, list(range(3)))
-        assert len(_SHARED_WORK) == 0
+        assert multiprocessing.active_children() == []
 
 
 class TestChaosNeutralityProperty:
@@ -160,23 +179,17 @@ class TestChaosNeutralityProperty:
         seed=st.integers(min_value=0, max_value=2**16),
         n_items=st.integers(min_value=1, max_value=6),
         probability=st.sampled_from([0.5, 1.0]),
-        pooled=st.booleans(),
+        warm=st.booleans(),
     )
     def test_recovered_map_equals_serial_map(
-        self, site, seed, n_items, probability, pooled
+        self, site, seed, n_items, probability, warm
     ):
         items = list(range(n_items))
         expected = SerialExecutor().map(_square, items)
         retry = RetryPolicy(max_retries=3, backoff_seconds=0.01)
-        executor = (
-            PooledProcessExecutor(max_workers=2, retry=retry)
-            if pooled
-            else ProcessExecutor(max_workers=2, retry=retry)
-        )
         plan = FaultPlan.parse(f"seed={seed};{site}={probability}x1")
-        try:
+        with ProcessExecutor(max_workers=2, retry=retry) as executor:
+            if warm:  # a pool that already served a map heals the same way
+                assert executor.map(_square, items) == expected
             with use_injector(make_injector(plan)):
                 assert executor.map(_square, items) == expected
-        finally:
-            if pooled:
-                executor.close()

@@ -36,7 +36,7 @@ from repro.federated import (
 )
 from repro.privacy.budget import PrivacyBudget
 from repro.privacy.rng import derive_substream
-from repro.runtime.executor import PooledProcessExecutor
+from repro.runtime.executor import ProcessExecutor
 
 EPSILONS = (0.5, 1.0)
 SEED = 7
@@ -72,11 +72,8 @@ class TestCentralBitIdentity:
     def test_process_parties_match_single_box_bitwise(self, parties, tree):
         X, y = _rows()
         spec = _spec(parties)
-        executor = PooledProcessExecutor(max_workers=min(parties, 4))
-        try:
+        with ProcessExecutor(max_workers=min(parties, 4)) as executor:
             blobs = run_parties(spec, X, y, executor=executor)
-        finally:
-            executor.close()
         coordinator = FederatedCoordinator(spec)
         for blob in blobs:
             coordinator.submit(blob)

@@ -10,11 +10,7 @@ from repro.data.census import load_us
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ScalePreset
 from repro.obs import TraceRecorder, active_recorder, use_recorder
-from repro.runtime import (
-    PooledProcessExecutor,
-    PooledThreadExecutor,
-    ProcessExecutor,
-)
+from repro.runtime import ProcessExecutor, ThreadExecutor, get_executor
 from repro.session import ExecutionPolicy, Session
 
 
@@ -49,7 +45,7 @@ class TestExecutorMerge:
     def test_pooled_thread_counters_complete(self):
         items = list(range(8))
         recorder = TraceRecorder(mode="trace")
-        with use_recorder(recorder), PooledThreadExecutor(max_workers=4) as executor:
+        with use_recorder(recorder), ThreadExecutor(max_workers=4) as executor:
             results = executor.map(_counting_work, items)
         assert results == [v * 2 for v in items]
         self._assert_complete(recorder, items)
@@ -57,7 +53,7 @@ class TestExecutorMerge:
 
     def test_pooled_thread_reuse_counted(self):
         recorder = TraceRecorder(mode="summary")
-        with use_recorder(recorder), PooledThreadExecutor(max_workers=2) as executor:
+        with use_recorder(recorder), ThreadExecutor(max_workers=2) as executor:
             executor.map(_counting_work, [1, 2])
             executor.map(_counting_work, [3, 4])
         counters = recorder.summary()["counters"]
@@ -67,7 +63,7 @@ class TestExecutorMerge:
     def test_pooled_process_counters_complete(self):
         items = list(range(8))
         recorder = TraceRecorder(mode="trace")
-        with use_recorder(recorder), PooledProcessExecutor(max_workers=2) as executor:
+        with use_recorder(recorder), ProcessExecutor(max_workers=2) as executor:
             results = executor.map(_counting_work, items)
         assert results == [v * 2 for v in items]
         self._assert_complete(recorder, items)
@@ -78,16 +74,17 @@ class TestExecutorMerge:
         assert gauges["process.pickled_bytes_per_call"]["max"] > 0
 
     def test_oneshot_process_counters_complete(self):
+        """An executor built by name for one map, as ``run_plan`` does."""
         items = list(range(6))
         recorder = TraceRecorder(mode="trace")
-        with use_recorder(recorder):
-            results = ProcessExecutor(max_workers=2).map(_counting_work, items)
+        with use_recorder(recorder), get_executor("process") as executor:
+            results = executor.map(_counting_work, items)
         assert results == [v * 2 for v in items]
         self._assert_complete(recorder, items)
 
     def test_worker_spans_reparent_under_anchor(self):
         recorder = TraceRecorder(mode="trace")
-        with use_recorder(recorder), PooledProcessExecutor(max_workers=2) as executor:
+        with use_recorder(recorder), ProcessExecutor(max_workers=2) as executor:
             with recorder.span("anchor") as anchor:
                 executor.map(_counting_work, list(range(4)))
         work_events = [e for e in recorder.events() if e["name"] == "test.work"]
@@ -96,14 +93,14 @@ class TestExecutorMerge:
 
     def test_summary_mode_ships_no_events(self):
         recorder = TraceRecorder(mode="summary")
-        with use_recorder(recorder), PooledProcessExecutor(max_workers=2) as executor:
+        with use_recorder(recorder), ProcessExecutor(max_workers=2) as executor:
             executor.map(_counting_work, list(range(4)))
         assert recorder.events() == []
         assert recorder.summary()["spans"]["test.work"]["count"] == 4
 
     def test_off_mode_pays_nothing(self):
         # No active recorder: results are identical and unwrapped.
-        with PooledProcessExecutor(max_workers=2) as executor:
+        with ProcessExecutor(max_workers=2) as executor:
             assert executor.map(_counting_work, list(range(4))) == [0, 2, 4, 6]
 
 

@@ -13,16 +13,18 @@ import pytest
 from repro.baselines.base import make_algorithm
 from repro.exceptions import DomainError
 from repro.experiments.config import SMOKE
-from repro.experiments.harness import (
-    _algorithm_stream_key,
-    evaluate_algorithm,
-    evaluate_fm_budget_sweep,
-)
+from repro.experiments.harness import _algorithm_stream_key
 from repro.privacy.rng import derive_substream
 from repro.regression.preprocessing import KFold
 from repro.runtime import CellPlan, PlannedFold, plan_cells, run_plan
+from repro.session import ExecutionPolicy, Session
 
 EPSILONS = (0.1, 0.8, 3.2)
+
+
+def _session(**fields) -> Session:
+    """A fresh session over the class-default policy plus ``fields``."""
+    return Session(ExecutionPolicy(**fields))
 
 
 def run_both(us, algorithm, task, epsilons, seed=0, preset=SMOKE, kwargs=None):
@@ -116,7 +118,7 @@ class TestBatchedEqualsPercell:
 
 
 class TestHarnessBitCompatibility:
-    """evaluate_algorithm must still equal the pre-runtime per-cell loop."""
+    """Session.evaluate must still equal the pre-runtime per-cell loop."""
 
     @staticmethod
     def historical_scores(
@@ -173,9 +175,8 @@ class TestHarnessBitCompatibility:
         reference = self.historical_scores(
             algorithm, us, task, 5, 0.8, SMOKE, seed=3, stream_version=stream_version
         )
-        result = evaluate_algorithm(
+        result = _session(stream_version=stream_version).evaluate(
             algorithm, us, task, dims=5, epsilon=0.8, preset=SMOKE, seed=3,
-            stream_version=stream_version,
         )
         assert result.mean_score == float(np.mean(reference))
         assert result.std_score == float(np.std(reference))
@@ -183,27 +184,24 @@ class TestHarnessBitCompatibility:
 
     def test_default_stream_version_is_v2(self, us):
         """The PR-6 flip: an unpinned run derives v2 streams."""
-        default = evaluate_algorithm(
-            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=3
-        )
-        pinned_v2 = evaluate_algorithm(
+        default = _session().evaluate(
             "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=3,
-            stream_version=2,
         )
-        pinned_v1 = evaluate_algorithm(
+        pinned_v2 = _session(stream_version=2).evaluate(
             "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=3,
-            stream_version=1,
+        )
+        pinned_v1 = _session(stream_version=1).evaluate(
+            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=3,
         )
         assert default.mean_score == pinned_v2.mean_score
         assert default.mean_score != pinned_v1.mean_score
 
     def test_runtime_modes_agree_end_to_end(self, us):
-        a = evaluate_algorithm(
-            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9
-        )
-        b = evaluate_algorithm(
+        a = _session().evaluate(
             "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9,
-            runtime="percell",
+        )
+        b = _session(runtime="percell").evaluate(
+            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9,
         )
         assert a.mean_score == b.mean_score
         assert a.std_score == b.std_score
@@ -211,23 +209,21 @@ class TestHarnessBitCompatibility:
 
 class TestBudgetSweepEquivalence:
     def test_batched_equals_percell(self, us):
-        batched = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=EPSILONS, preset=SMOKE, seed=4
-        )
-        percell = evaluate_fm_budget_sweep(
+        batched = _session().budget_sweep(
             us, "linear", dims=5, epsilons=EPSILONS, preset=SMOKE, seed=4,
-            runtime="percell",
+        )
+        percell = _session(runtime="percell").budget_sweep(
+            us, "linear", dims=5, epsilons=EPSILONS, preset=SMOKE, seed=4,
         )
         for epsilon in EPSILONS:
             assert batched[epsilon].mean_score == percell[epsilon].mean_score
 
     def test_engine_path_still_available(self, us):
-        engine = evaluate_fm_budget_sweep(
+        engine = _session(runtime="engine").budget_sweep(
             us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=4,
-            runtime="engine",
         )
-        batched = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=4
+        batched = _session().budget_sweep(
+            us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=4,
         )
         # Same protocol and noise stream; the engine aggregates through the
         # block-wise accumulator, so agreement is to accumulation accuracy.
@@ -236,7 +232,7 @@ class TestBudgetSweepEquivalence:
         )
 
     def test_shards_imply_engine_path(self, us):
-        result = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=0, shards=4
+        result = _session(runtime="auto", shards=4).budget_sweep(
+            us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=0,
         )
         assert result[0.8].cells == SMOKE.folds * SMOKE.repetitions

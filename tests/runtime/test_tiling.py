@@ -2,7 +2,7 @@
 
 The tiled runtime's contract extends PR 2's batched == percell guarantee to
 three new axes: the tile size (any tiling == untiled == the per-cell
-oracle), the executor (serial == thread == forked-process, at tile or cell
+oracle), the executor (serial == thread == process, at tile or cell
 granularity), and grouping (a multi-algorithm merged-solve group == each
 algorithm run alone).  All comparisons are ``==`` on full score vectors —
 no tolerances.
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ExperimentError
 from repro.experiments.config import SMOKE, ScalePreset
-from repro.experiments.harness import evaluate_algorithm, evaluate_algorithms
 from repro.privacy.rng import derive_substream
 from repro.runtime import (
     PreparedDataCache,
@@ -24,8 +23,14 @@ from repro.runtime import (
     run_plan,
     run_plan_group,
 )
+from repro.session import ExecutionPolicy, Session
 
 EPSILONS = (0.1, 0.8, 3.2)
+
+
+def _session(**fields) -> Session:
+    """A fresh session over the class-default policy plus ``fields``."""
+    return Session(ExecutionPolicy(**fields))
 
 
 def tiny_preset(reps: int, folds: int = 3) -> ScalePreset:
@@ -141,12 +146,11 @@ class TestTileInvariance:
             )
 
     def test_harness_tile_size_plumbing(self, us):
-        eager = evaluate_algorithm(
-            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9
-        )
-        tiled = evaluate_algorithm(
+        eager = _session().evaluate(
             "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9,
-            tile_size=1,
+        )
+        tiled = _session(tile_size=1).evaluate(
+            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9,
         )
         assert tiled.mean_score == eager.mean_score
         assert tiled.std_score == eager.std_score
@@ -187,26 +191,26 @@ class TestGroupedExecution:
             assert outcome.scores == solo.scores, name
 
     def test_evaluate_algorithms_equals_per_name_calls(self, us):
-        panel = evaluate_algorithms(
+        panel = _session().evaluate_panel(
             ["FM", "NoPrivacy", "Truncated"], us, "linear", dims=5, epsilon=0.8,
             preset=SMOKE, seed=3,
         )
         for name, result in panel.items():
-            solo = evaluate_algorithm(
-                name, us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=3
+            solo = _session().evaluate(
+                name, us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=3,
             )
             assert result.mean_score == solo.mean_score, name
             assert result.std_score == solo.std_score, name
             assert result.cells == solo.cells, name
 
     def test_evaluate_algorithms_tiled_equals_eager(self, us):
-        eager = evaluate_algorithms(
-            ["FM", "NoPrivacy"], us, "linear", dims=5, epsilon=0.8,
-            preset=SMOKE, seed=7,
+        eager = _session().evaluate_panel(
+            ["FM", "NoPrivacy"], us, "linear", dims=5, epsilon=0.8, preset=SMOKE,
+            seed=7,
         )
-        tiled = evaluate_algorithms(
-            ["FM", "NoPrivacy"], us, "linear", dims=5, epsilon=0.8,
-            preset=SMOKE, seed=7, tile_size=1,
+        tiled = _session(tile_size=1).evaluate_panel(
+            ["FM", "NoPrivacy"], us, "linear", dims=5, epsilon=0.8, preset=SMOKE,
+            seed=7,
         )
         for name in eager:
             assert tiled[name].mean_score == eager[name].mean_score, name

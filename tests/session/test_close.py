@@ -14,7 +14,7 @@ import pytest
 from repro.exceptions import ExecutorBrokenError
 from repro.faults import RetryPolicy, make_injector, use_injector
 from repro.obs import make_recorder
-from repro.runtime import PooledProcessExecutor, PooledThreadExecutor
+from repro.runtime import ProcessExecutor, ThreadExecutor
 from repro.session import ExecutionPolicy, Session
 
 
@@ -127,7 +127,7 @@ class TestBrokenExecutorTeardown:
         assert counters["session.close_errors"] == 1
 
     def test_pooled_thread_close_survives_broken_pool_shutdown(self):
-        executor = PooledThreadExecutor(max_workers=2)
+        executor = ThreadExecutor(max_workers=2)
         executor.map(_square, [1, 2])
         pool = executor.pool
         original = pool.shutdown
@@ -145,7 +145,7 @@ class TestBrokenExecutorTeardown:
     def test_pooled_process_close_with_injected_crash_pending(self):
         """Close a process pool while a crash plan is still armed: the
         teardown path must not deadlock on dead workers."""
-        executor = PooledProcessExecutor(max_workers=2, retry=RetryPolicy(max_retries=2))
+        executor = ProcessExecutor(max_workers=2, retry=RetryPolicy(max_retries=2))
         with use_injector(make_injector("seed=3;worker.crash=1.0x1")):
             assert executor.map(_square, [1, 2, 3]) == [1, 4, 9]
         executor.close()

@@ -5,13 +5,7 @@ import os
 import pytest
 
 from repro.exceptions import ExperimentError
-from repro.runtime import (
-    PooledProcessExecutor,
-    PooledThreadExecutor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-)
+from repro.runtime import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.session import ExecutionPolicy, Session, figure_spec
 
 
@@ -41,22 +35,10 @@ class TestExecutorOwnership:
 
     def test_pooled_kinds(self):
         assert isinstance(
-            Session(ExecutionPolicy(executor="thread")).executor(),
-            PooledThreadExecutor,
+            Session(ExecutionPolicy(executor="thread")).executor(), ThreadExecutor
         )
         assert isinstance(
-            Session(ExecutionPolicy(executor="process")).executor(),
-            PooledProcessExecutor,
-        )
-
-    def test_one_shot_sessions_use_legacy_lifecycle(self):
-        assert isinstance(
-            Session(ExecutionPolicy(executor="thread"), reuse_pool=False).executor(),
-            ThreadExecutor,
-        )
-        assert isinstance(
-            Session(ExecutionPolicy(executor="process"), reuse_pool=False).executor(),
-            ProcessExecutor,
+            Session(ExecutionPolicy(executor="process")).executor(), ProcessExecutor
         )
 
     def test_max_workers_threads_through(self):
@@ -78,7 +60,7 @@ class TestExecutorOwnership:
 
     def test_pooled_process_reuses_worker_pids(self):
         """The same OS processes serve successive map calls."""
-        with PooledProcessExecutor(max_workers=2) as executor:
+        with ProcessExecutor(max_workers=2) as executor:
             first = set(executor.map(_worker_pid, list(range(4))))
             pool = executor.pool
             workers = set(pool._processes)
@@ -95,7 +77,7 @@ class TestExecutorOwnership:
         dropped so the next map forks a fresh one."""
         from repro.exceptions import ExecutorBrokenError
 
-        with PooledProcessExecutor(max_workers=2) as executor:
+        with ProcessExecutor(max_workers=2) as executor:
             with pytest.raises(ExecutorBrokenError):
                 executor.map(_crash_worker, [0, 1, 2])
             assert executor.pool is None

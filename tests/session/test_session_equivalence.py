@@ -1,33 +1,30 @@
-"""Legacy kwarg entry points == Session entry points, bitwise.
+"""Session entry points == the bare protocol bodies, bitwise.
 
-The compatibility contract of the session API: every deprecated free
-function builds a one-shot Session from its kwargs and must therefore
-produce **bitwise-identical** scores to calling the Session directly —
-at both stream versions, under every executor kind, with and without
-tiling.  Wall-clock fields (``mean_fit_seconds``) are measurements, not
-results, and are excluded from comparison.
+A Session adds state — a persistent prepared-data cache, a pooled
+executor, recorder/injector/backend scopes — around the protocol bodies
+in :mod:`repro.experiments`.  None of it may change a result: a warm,
+long-lived session must produce **bitwise-identical** scores to calling
+the body directly with a serial executor and no shared cache, at both
+stream versions, under every executor kind, with and without tiling.
+Wall-clock fields (``mean_fit_seconds``) are measurements, not results,
+and are excluded from comparison.
 """
-
-import warnings
 
 import pytest
 
 from repro.experiments.config import ScalePreset
-from repro.experiments.figures import (
-    accuracy_sweep,
-    figure4_dimensionality,
-    figure5_cardinality,
-    figure6_privacy_budget,
-    figure7_time_dimensionality,
-    figure8_time_cardinality,
-    figure9_time_budget,
-)
+from repro.experiments.figures import _accuracy_sweep
 from repro.experiments.harness import (
-    evaluate_algorithm,
-    evaluate_algorithms,
-    evaluate_fm_budget_sweep,
+    _evaluate_algorithm,
+    _evaluate_panel,
+    _fm_budget_sweep,
 )
-from repro.session import ExecutionPolicy, Session
+from repro.session import (
+    DEFAULT_STREAM_VERSION,
+    ExecutionPolicy,
+    Session,
+    run_figure,
+)
 
 
 def _scores(result):
@@ -57,167 +54,120 @@ def _sweep_scores(sweep):
     )
 
 
-def _silently(fn, *args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return fn(*args, **kwargs)
+def _warm(call):
+    """Run ``call`` twice on one session state; return the second result."""
+    call()
+    return call()
 
 
 @pytest.mark.parametrize("stream_version", [1, 2])
 class TestBitwiseEquivalence:
     def test_evaluate_algorithm(self, tiny_dataset, tiny_preset, stream_version):
-        legacy = _silently(
-            evaluate_algorithm,
-            "FM", tiny_dataset, "linear", 5, 1.0,
-            preset=tiny_preset, seed=11, stream_version=stream_version,
+        bare = _evaluate_algorithm(
+            "FM", tiny_dataset, "linear", 5, 1.0, tiny_preset, seed=11,
+            stream_version=stream_version,
         )
         session = Session(ExecutionPolicy(stream_version=stream_version, seed=11))
-        assert _scores(
-            session.evaluate("FM", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset)
-        ) == _scores(legacy)
+        warm = _warm(lambda: session.evaluate(
+            "FM", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset
+        ))
+        assert _scores(warm) == _scores(bare)
 
     def test_evaluate_algorithms(self, tiny_dataset, tiny_preset, stream_version):
         names = ["FM", "DPME", "NoPrivacy"]
-        legacy = _silently(
-            evaluate_algorithms,
-            names, tiny_dataset, "linear", 5, 0.8,
-            preset=tiny_preset, seed=3, stream_version=stream_version,
+        bare = _evaluate_panel(
+            names, tiny_dataset, "linear", 5, 0.8, tiny_preset, seed=3,
+            stream_version=stream_version,
         )
-        panel = Session(
-            ExecutionPolicy(stream_version=stream_version)
-        ).evaluate_panel(names, tiny_dataset, "linear", 5, 0.8,
-                         preset=tiny_preset, seed=3)
+        session = Session(ExecutionPolicy(stream_version=stream_version))
+        panel = _warm(lambda: session.evaluate_panel(
+            names, tiny_dataset, "linear", 5, 0.8, preset=tiny_preset, seed=3
+        ))
         assert {k: _scores(v) for k, v in panel.items()} == {
-            k: _scores(v) for k, v in legacy.items()
+            k: _scores(v) for k, v in bare.items()
         }
 
     @pytest.mark.parametrize("runtime", ["auto", "engine"])
     def test_evaluate_fm_budget_sweep(
         self, tiny_dataset, tiny_preset, stream_version, runtime
     ):
-        legacy = _silently(
-            evaluate_fm_budget_sweep,
-            tiny_dataset, "linear", 5, [0.5, 2.0],
-            preset=tiny_preset, seed=5, runtime=runtime,
-            stream_version=stream_version,
+        bare = _fm_budget_sweep(
+            tiny_dataset, "linear", 5, [0.5, 2.0], tiny_preset, seed=5,
+            runtime=runtime, stream_version=stream_version,
         )
-        sweep = Session(
+        session = Session(
             ExecutionPolicy(runtime=runtime, stream_version=stream_version)
-        ).budget_sweep(tiny_dataset, "linear", 5, [0.5, 2.0],
-                       preset=tiny_preset, seed=5)
+        )
+        sweep = _warm(lambda: session.budget_sweep(
+            tiny_dataset, "linear", 5, [0.5, 2.0], preset=tiny_preset, seed=5
+        ))
         assert {e: _scores(r) for e, r in sweep.items()} == {
-            e: _scores(r) for e, r in legacy.items()
+            e: _scores(r) for e, r in bare.items()
         }
 
     def test_accuracy_sweep(self, tiny_dataset, tiny_preset, stream_version):
-        legacy = _silently(
-            accuracy_sweep,
+        bare = _accuracy_sweep(
             tiny_dataset, "linear", "dimensionality", (5, 8), "figure4",
-            preset=tiny_preset, seed=2, stream_version=stream_version,
+            tiny_preset, seed=2, stream_version=stream_version,
         )
-        sweep = Session(ExecutionPolicy(stream_version=stream_version)).sweep(
+        session = Session(ExecutionPolicy(stream_version=stream_version))
+        sweep = _warm(lambda: session.sweep(
             tiny_dataset, "linear", "dimensionality", (5, 8), "figure4",
             preset=tiny_preset, seed=2,
-        )
-        assert _sweep_scores(sweep) == _sweep_scores(legacy)
+        ))
+        assert _sweep_scores(sweep) == _sweep_scores(bare)
 
 
 class TestExecutorAndTilingEquivalence:
-    """Session-held pooled executors match the legacy one-shot executors."""
+    """Session-held pools match the serial, eager bare body."""
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_pooled_executor_matches_legacy(
-        self, tiny_dataset, tiny_preset, executor
-    ):
-        legacy = _silently(
-            evaluate_algorithm,
-            "FM", tiny_dataset, "linear", 5, 1.0,
-            preset=tiny_preset, seed=4, executor=executor, tile_size=1,
+    def test_pooled_executor_matches_serial(self, tiny_dataset, tiny_preset, executor):
+        bare = _evaluate_algorithm(
+            "FM", tiny_dataset, "linear", 5, 1.0, tiny_preset, seed=4,
+            stream_version=DEFAULT_STREAM_VERSION,
         )
         policy = ExecutionPolicy(executor=executor, tile_size=1, max_workers=2)
         with Session(policy) as session:
-            pooled = session.evaluate(
+            pooled = _warm(lambda: session.evaluate(
                 "FM", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset, seed=4
-            )
-        assert _scores(pooled) == _scores(legacy)
+            ))
+        assert _scores(pooled) == _scores(bare)
 
     def test_percell_generic_through_pool(self, tiny_dataset, tiny_preset):
-        legacy = _silently(
-            evaluate_algorithm,
-            "DPME", tiny_dataset, "linear", 5, 1.0,
-            preset=tiny_preset, seed=8, runtime="percell",
+        bare = _evaluate_algorithm(
+            "DPME", tiny_dataset, "linear", 5, 1.0, tiny_preset, seed=8,
+            runtime="percell", stream_version=DEFAULT_STREAM_VERSION,
         )
         policy = ExecutionPolicy(runtime="percell", executor="process", max_workers=2)
         with Session(policy) as session:
             pooled = session.evaluate(
                 "DPME", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset, seed=8
             )
-        assert _scores(pooled) == _scores(legacy)
+        assert _scores(pooled) == _scores(bare)
 
 
-class TestFigureShims:
-    """Each driver shim: warns, and matches Session.figure bitwise."""
+class TestFigureDispatch:
+    """Session.figure == the registry's driver called bare, per figure."""
 
     def test_figure_drivers_match_session(self, tiny_dataset):
         preset = ScalePreset(name="micro", max_records=200, folds=2, repetitions=1)
         session = Session(ExecutionPolicy())
         cases = [
-            ("figure4", figure4_dimensionality, dict(task="linear"), {}),
-            (
-                "figure5",
-                figure5_cardinality,
-                dict(task="linear", rates=(0.5, 1.0)),
-                dict(values=(0.5, 1.0)),
-            ),
-            ("figure6", figure6_privacy_budget, dict(task="linear"), {}),
-            ("figure7", figure7_time_dimensionality, {}, {}),
-            (
-                "figure8",
-                figure8_time_cardinality,
-                dict(rates=(1.0,)),
-                dict(values=(1.0,)),
-            ),
-            ("figure9", figure9_time_budget, {}, {}),
+            ("figure4", "linear", None),
+            ("figure5", "linear", (0.5, 1.0)),
+            ("figure6", "linear", None),
+            ("figure7", None, None),
+            ("figure8", None, (1.0,)),
+            ("figure9", None, None),
         ]
-        for name, legacy_fn, legacy_kwargs, session_kwargs in cases:
-            with pytest.deprecated_call(match=legacy_fn.__name__):
-                legacy = legacy_fn(
-                    tiny_dataset, preset=preset, seed=1, **legacy_kwargs
-                )
-            task = legacy_kwargs.get("task")
+        for name, task, values in cases:
+            bare = run_figure(
+                name, tiny_dataset, task, preset=preset, seed=1,
+                runtime="batched", executor="serial", tile_size=None,
+                stream_version=DEFAULT_STREAM_VERSION, values=values,
+            )
             new = session.figure(
-                name, tiny_dataset, task, preset=preset, seed=1, **session_kwargs
+                name, tiny_dataset, task, preset=preset, seed=1, values=values
             )
-            assert _sweep_scores(new) == _sweep_scores(legacy), name
-
-
-class TestDeprecationWarnings:
-    """Every shimmed entry point announces its session equivalent."""
-
-    def test_harness_shims_warn(self, tiny_dataset, tiny_preset):
-        with pytest.deprecated_call(match="evaluate_algorithm"):
-            evaluate_algorithm(
-                "FM", tiny_dataset, "linear", 5, 1.0, preset=tiny_preset
-            )
-        with pytest.deprecated_call(match="evaluate_algorithms"):
-            evaluate_algorithms(
-                ["FM"], tiny_dataset, "linear", 5, 1.0, preset=tiny_preset
-            )
-        with pytest.deprecated_call(match="evaluate_fm_budget_sweep"):
-            evaluate_fm_budget_sweep(
-                tiny_dataset, "linear", 5, [1.0], preset=tiny_preset
-            )
-
-    def test_sweep_shim_warns(self, tiny_dataset, tiny_preset):
-        with pytest.deprecated_call(match="accuracy_sweep"):
-            accuracy_sweep(
-                tiny_dataset, "linear", "dimensionality", (5,), "figure4",
-                preset=tiny_preset,
-            )
-
-    def test_warning_names_policy_equivalent(self, tiny_dataset, tiny_preset):
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-            evaluate_algorithm(
-                "FM", tiny_dataset, "linear", 5, 1.0,
-                preset=tiny_preset, executor="thread", tile_size=1,
-            )
+            assert _sweep_scores(new) == _sweep_scores(bare), name

@@ -15,15 +15,16 @@ import pytest
 
 from repro.data.census import load_us
 from repro.experiments.config import SMOKE
-from repro.experiments.harness import (
-    evaluate_algorithm,
-    evaluate_algorithms,
-    evaluate_fm_budget_sweep,
-)
+from repro.session import ExecutionPolicy, Session
 
 pytestmark = pytest.mark.tier1
 
 EPSILONS = (0.1, 0.8, 3.2)
+
+
+def _session(**fields) -> Session:
+    """A fresh session over the class-default policy plus ``fields``."""
+    return Session(ExecutionPolicy(**fields))
 
 
 @pytest.fixture(scope="module")
@@ -34,76 +35,68 @@ def us():
 @pytest.mark.parametrize("stream_version", [1, 2])
 class TestRuntimeEquivalencePerVersion:
     def test_batched_equals_percell(self, us, stream_version):
-        batched = evaluate_algorithm(
+        batched = _session(stream_version=stream_version).evaluate(
             "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9,
-            stream_version=stream_version,
         )
-        percell = evaluate_algorithm(
-            "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9,
-            runtime="percell", stream_version=stream_version,
-        )
+        percell = _session(
+            runtime="percell", stream_version=stream_version
+        ).evaluate("FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9)
         assert batched.mean_score == percell.mean_score
         assert batched.std_score == percell.std_score
 
     def test_tiling_is_invariant(self, us, stream_version):
-        eager = evaluate_algorithm(
+        eager = _session(stream_version=stream_version).evaluate(
             "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=2,
-            stream_version=stream_version,
         )
-        tiled = evaluate_algorithm(
+        tiled = _session(tile_size=1, stream_version=stream_version).evaluate(
             "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=2,
-            tile_size=1, stream_version=stream_version,
         )
         assert eager.mean_score == tiled.mean_score
         assert eager.std_score == tiled.std_score
 
     def test_executor_is_invariant(self, us, stream_version):
-        serial = evaluate_algorithm(
+        serial = _session(tile_size=1, stream_version=stream_version).evaluate(
             "FM", us, "logistic", dims=5, epsilon=0.8, preset=SMOKE, seed=3,
-            tile_size=1, stream_version=stream_version,
         )
-        threaded = evaluate_algorithm(
-            "FM", us, "logistic", dims=5, epsilon=0.8, preset=SMOKE, seed=3,
-            tile_size=1, executor="thread", stream_version=stream_version,
-        )
+        with _session(
+            tile_size=1, executor="thread", stream_version=stream_version
+        ) as session:
+            threaded = session.evaluate(
+                "FM", us, "logistic", dims=5, epsilon=0.8, preset=SMOKE, seed=3,
+            )
         assert serial.mean_score == threaded.mean_score
 
     def test_budget_sweep_batched_equals_percell(self, us, stream_version):
-        batched = evaluate_fm_budget_sweep(
+        batched = _session(stream_version=stream_version).budget_sweep(
             us, "linear", dims=5, epsilons=EPSILONS, preset=SMOKE, seed=4,
-            stream_version=stream_version,
         )
-        percell = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=EPSILONS, preset=SMOKE, seed=4,
-            runtime="percell", stream_version=stream_version,
-        )
+        percell = _session(
+            runtime="percell", stream_version=stream_version
+        ).budget_sweep(us, "linear", dims=5, epsilons=EPSILONS, preset=SMOKE, seed=4)
         for epsilon in EPSILONS:
             assert batched[epsilon].mean_score == percell[epsilon].mean_score
 
     def test_engine_path_agrees(self, us, stream_version):
         """The streaming engine derives the same (seed, tag, version)
         noise streams; agreement is to accumulation accuracy."""
-        engine = evaluate_fm_budget_sweep(
+        engine = _session(
+            runtime="engine", stream_version=stream_version
+        ).budget_sweep(us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=4)
+        batched = _session(stream_version=stream_version).budget_sweep(
             us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=4,
-            runtime="engine", stream_version=stream_version,
-        )
-        batched = evaluate_fm_budget_sweep(
-            us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=4,
-            stream_version=stream_version,
         )
         assert engine[0.8].mean_score == pytest.approx(
             batched[0.8].mean_score, rel=1e-9
         )
 
     def test_grouped_panel_equals_individual_runs(self, us, stream_version):
-        grouped = evaluate_algorithms(
-            ["FM", "NoPrivacy"], us, "linear", dims=5, epsilon=0.8,
-            preset=SMOKE, seed=5, stream_version=stream_version,
+        grouped = _session(stream_version=stream_version).evaluate_panel(
+            ["FM", "NoPrivacy"], us, "linear", dims=5, epsilon=0.8, preset=SMOKE,
+            seed=5,
         )
         for name in ("FM", "NoPrivacy"):
-            alone = evaluate_algorithm(
+            alone = _session(stream_version=stream_version).evaluate(
                 name, us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=5,
-                stream_version=stream_version,
             )
             assert grouped[name].mean_score == alone.mean_score
             assert grouped[name].std_score == alone.std_score
@@ -114,13 +107,11 @@ class TestVersionsDiffer:
         """The two derivations must actually produce different noise streams
         (the alias fix reseeds every substream) — identical scores would mean
         the version flag is silently ignored somewhere in the stack."""
-        v1 = evaluate_algorithm(
+        v1 = _session(stream_version=1).evaluate(
             "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9,
-            stream_version=1,
         )
-        v2 = evaluate_algorithm(
+        v2 = _session(stream_version=2).evaluate(
             "FM", us, "linear", dims=5, epsilon=0.8, preset=SMOKE, seed=9,
-            stream_version=2,
         )
         assert v1.mean_score != v2.mean_score
 
