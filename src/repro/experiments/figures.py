@@ -240,7 +240,6 @@ def _budget_sweep(
     tile_size: int | None = None,
     stream_version: int = 1,
     prepared_cache=None,
-    shards: int = 1,
 ) -> SweepResult:
     """Shared machinery for the budget-sweep figures (6 and 9).
 
@@ -269,9 +268,8 @@ def _budget_sweep(
     )
     fm = _fm_budget_sweep(
         dataset, task, dims=DEFAULT_DIMENSIONALITY, epsilons=PRIVACY_BUDGETS,
-        preset=preset, seed=seed, shards=shards,
-        runtime="auto" if runtime == "batched" else runtime,
-        executor=executor, tile_size=tile_size, stream_version=stream_version,
+        preset=preset, seed=seed, runtime=runtime, executor=executor,
+        tile_size=tile_size, stream_version=stream_version,
         prepared_cache=prepared_cache,
     )
     series: dict[str, tuple[EvaluationResult, ...]] = {}

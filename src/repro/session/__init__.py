@@ -4,7 +4,7 @@ The way to run this reproduction:
 
 * :class:`ExecutionPolicy` — one frozen, validated value for every
   execution knob (runtime, executor + pool width, tiling, stream
-  version, scale, sampling rate, seed, shards), with layered resolution
+  version, scale, sampling rate, seed, ...), with layered resolution
   (explicit > ``REPRO_*`` environment > policy file > defaults), exact
   JSON round-tripping, and ``derive()`` for replace-style derivation.
 * :class:`Session` — a facade owning process state across calls: a

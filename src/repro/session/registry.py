@@ -46,7 +46,7 @@ class FigureSpec:
         regression").
     budget_sweep:
         Whether the figure sweeps epsilon and therefore has the one-pass
-        FM engine/batched fast path (figures 6 and 9).
+        FM budget-sweep fast path (figures 6 and 9).
     kind:
         ``"accuracy"`` or ``"time"`` — which metric the figure plots
         (reporting concern only; both come from the same sweep).
@@ -97,16 +97,13 @@ def run_figure(
     values: Sequence | None = None,
     engine: bool | None = None,
     prepared_cache=None,
-    shards: int = 1,
 ) -> SweepResult:
     """Execute one registered figure through the shared sweep machinery.
 
     ``task`` is required unless the spec pins it; ``values`` overrides the
     spec's sweep values (cardinality figures only — the budget figures'
     epsilon grid is part of their identity); ``engine`` selects the
-    one-pass FM fast path on budget figures (default on); ``shards``
-    parallelizes the FM series' statistics pass on budget figures
-    (ignored elsewhere — the caller warns).
+    one-pass FM fast path on budget figures (default on).
     """
     spec = figure_spec(name)
     if spec.fixed_task is not None:
@@ -131,7 +128,6 @@ def run_figure(
             tile_size=tile_size,
             stream_version=stream_version,
             prepared_cache=prepared_cache,
-            shards=shards,
         )
     if engine is not None:
         raise ExperimentError(f"{name} has no FM budget-sweep path; drop engine=")

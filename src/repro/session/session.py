@@ -252,18 +252,6 @@ class Session:
     # ------------------------------------------------------------------
     # Policy plumbing
     # ------------------------------------------------------------------
-    def _point_runtime(self) -> str:
-        """The policy runtime as a point-evaluation mode."""
-        runtime = self.policy.runtime
-        if runtime == "auto":
-            return "batched"
-        if runtime == "engine":
-            raise ExperimentError(
-                "runtime='engine' applies only to budget sweeps; use "
-                "'batched' or 'percell' for point evaluations"
-            )
-        return runtime
-
     def _resolved(self, preset, sampling_rate, seed):
         """Fill protocol arguments from the policy where omitted."""
         return (
@@ -272,27 +260,19 @@ class Session:
             self.policy.seed if seed is None else seed,
         )
 
-    def _warn_inapplicable(self, entry: str, *, shards_apply: bool) -> None:
+    def _warn_inapplicable(self, entry: str) -> None:
         """Warn when a non-default policy field cannot reach this entry.
 
         The sweep/figure protocols pin every non-swept Table-2 parameter
         at its paper default (sampling rate 1.0 unless it *is* the swept
-        axis), and only the budget figures' FM series has a sharded
-        statistics pass — silently ignoring a field the user set in the
-        policy would misrepresent what ran.
+        axis) — silently ignoring a field the user set in the policy
+        would misrepresent what ran.
         """
         if self.policy.sampling_rate != 1.0:
             warnings.warn(
                 f"{entry} pins non-swept Table-2 parameters at their paper "
                 f"defaults; policy sampling_rate="
                 f"{self.policy.sampling_rate!r} does not apply here",
-                UserWarning,
-                stacklevel=3,
-            )
-        if not shards_apply and self.policy.shards != 1:
-            warnings.warn(
-                f"{entry} has no sharded-engine path; policy shards="
-                f"{self.policy.shards!r} does not apply here",
                 UserWarning,
                 stacklevel=3,
             )
@@ -332,7 +312,7 @@ class Session:
                 epsilon,
                 *self._resolved(preset, sampling_rate, seed),
                 algorithm_kwargs=algorithm_kwargs,
-                runtime=self._point_runtime(),
+                runtime=self.policy.runtime,
                 executor=self.executor() if executor is None else executor,
                 tile_size=self.policy.tile_size,
                 stream_version=self.policy.stream_version,
@@ -365,7 +345,7 @@ class Session:
                 dims,
                 epsilon,
                 *self._resolved(preset, sampling_rate, seed),
-                runtime=self._point_runtime(),
+                runtime=self.policy.runtime,
                 executor=self.executor() if executor is None else executor,
                 tile_size=self.policy.tile_size,
                 stream_version=self.policy.stream_version,
@@ -389,9 +369,9 @@ class Session:
     ) -> dict[float, EvaluationResult]:
         """FM's one-pass multi-budget protocol run (keyed by epsilon).
 
-        ``runtime`` overrides the policy for this call (budget sweeps
-        understand ``"auto"`` and ``"engine"`` beyond the point modes);
-        ``policy.shards > 1`` requires an engine-capable runtime.
+        ``runtime`` overrides the policy for this call.  Every
+        ``post_processing`` repair runs through the same plan and is
+        bitwise identical under ``"batched"`` and ``"percell"``.
         """
         with use_recorder(self._recorder), use_injector(self._injector), use_backend(
             self._backend
@@ -404,7 +384,6 @@ class Session:
                 dims,
                 epsilons,
                 *self._resolved(preset, sampling_rate, seed),
-                shards=self.policy.shards,
                 post_processing=post_processing,
                 tight_sensitivity=tight_sensitivity,
                 runtime=self.policy.runtime if runtime is None else runtime,
@@ -429,11 +408,11 @@ class Session:
     ) -> SweepResult:
         """Evaluate a panel across one Table-2 parameter sweep.
 
-        Non-swept parameters sit at their paper defaults; policy fields
-        that cannot apply here (``sampling_rate``, ``shards``) trigger a
+        Non-swept parameters sit at their paper defaults; a policy
+        ``sampling_rate`` cannot apply here and triggers a
         :class:`UserWarning` when set.
         """
-        self._warn_inapplicable("Session.sweep", shards_apply=False)
+        self._warn_inapplicable("Session.sweep")
         preset, _, seed = self._resolved(preset, None, seed)
         with use_recorder(self._recorder), use_injector(self._injector), use_backend(
             self._backend
@@ -449,7 +428,7 @@ class Session:
                 preset=preset,
                 algorithms=algorithms,
                 seed=seed,
-                runtime=self._point_runtime(),
+                runtime=self.policy.runtime,
                 executor=self.executor() if executor is None else executor,
                 tile_size=self.policy.tile_size,
                 stream_version=self.policy.stream_version,
@@ -471,17 +450,12 @@ class Session:
         """Run one registered sweep figure (figures 4-9) under the policy.
 
         Dispatches through :mod:`repro.session.registry`, the single
-        figure driver path.  On the
-        budget figures (6, 9) ``policy.shards`` parallelizes the FM
-        series' statistics pass; elsewhere inapplicable policy fields
-        trigger a :class:`UserWarning` when set.
+        figure driver path.  ``engine`` selects the budget figures' (6, 9)
+        one-pass FM series (default on; ``engine=False`` times FM per
+        fit).  A policy ``sampling_rate`` cannot apply here and triggers a
+        :class:`UserWarning` when set.
         """
-        from .registry import figure_spec
-
-        spec = figure_spec(name)
-        self._warn_inapplicable(
-            f"Session.figure({name!r})", shards_apply=spec.budget_sweep
-        )
+        self._warn_inapplicable(f"Session.figure({name!r})")
         preset, _, seed = self._resolved(preset, None, seed)
         with use_recorder(self._recorder), use_injector(self._injector), use_backend(
             self._backend
@@ -494,12 +468,11 @@ class Session:
                 task,
                 preset=preset,
                 seed=seed,
-                runtime=self._point_runtime(),
+                runtime=self.policy.runtime,
                 executor=self.executor() if executor is None else executor,
                 tile_size=self.policy.tile_size,
                 stream_version=self.policy.stream_version,
                 values=values,
                 engine=engine,
                 prepared_cache=self._prepared_cache,
-                shards=self.policy.shards,
             )

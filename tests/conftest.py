@@ -61,6 +61,35 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip_tier3)
 
 
+@pytest.fixture(autouse=True)
+def _ambient_slots_restored():
+    """Fail the test that leaves a process-global ambient slot changed.
+
+    The active recorder, fault injector and array backend are module
+    globals (worker threads must see them), so a test that installs one
+    without restoring it would silently leak into every later test and
+    fail there instead.  The guard restores the slots before failing, so
+    only the leaking test is reported.
+    """
+    import repro.faults.injector as injector_module
+    import repro.obs as obs_module
+    import repro.runtime.backend as backend_module
+
+    slots = (
+        ("active recorder", obs_module, obs_module.NULL_RECORDER),
+        ("active fault injector", injector_module, injector_module._ACTIVE),
+        ("active array backend", backend_module, backend_module._ACTIVE),
+    )
+    yield
+    leaked = []
+    for label, module, expected in slots:
+        if module._ACTIVE is not expected:
+            leaked.append(f"{label} {module._ACTIVE!r} (expected {expected!r})")
+            module._ACTIVE = expected
+    if leaked:
+        pytest.fail("test left ambient state installed: " + "; ".join(leaked))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A fresh deterministic generator per test."""

@@ -68,12 +68,6 @@ class TestEvaluateFmBudgetSweep:
         for result in results.values():
             assert 0.0 <= result.mean_score <= 1.0
 
-    def test_sharded_accumulation_path(self, us):
-        results = _session(runtime="auto", shards=4).budget_sweep(
-            us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=0
-        )
-        assert results[0.8].cells == SMOKE.folds * SMOKE.repetitions
-
     def test_invalid_args(self, us):
         with pytest.raises(ExperimentError):
             _session().budget_sweep(

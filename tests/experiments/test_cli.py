@@ -29,6 +29,14 @@ class TestParser:
         out = capsys.readouterr().out
         assert "mean square error vs dimensionality" in out
 
+    @pytest.mark.parametrize("runtime", ["engine", "auto", "vectorized"])
+    def test_invalid_env_runtime_exits_with_policy_error(
+        self, capsys, monkeypatch, runtime
+    ):
+        monkeypatch.setenv("REPRO_RUNTIME", runtime)
+        assert main(["figure5", "--task", "linear"]) == 2
+        assert "runtime must be one of" in capsys.readouterr().err
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure99"])

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import FULL, SMOKE
-from repro.experiments.harness import _algorithm_stream_key
 from repro.privacy.rng import derive_substream
 from repro.runtime import algorithm_stream_key
 
@@ -48,9 +47,6 @@ class TestStreamKeyStability:
     def test_pinned_values(self):
         for name, expected in PINNED_KEYS.items():
             assert algorithm_stream_key(name) == expected, name
-
-    def test_harness_alias_is_the_same_function(self):
-        assert _algorithm_stream_key is algorithm_stream_key
 
     def test_case_sensitive(self):
         # The registry lower-cases lookups but the stream key is derived

@@ -11,12 +11,17 @@ import numpy as np
 import pytest
 
 from repro.baselines.base import make_algorithm
-from repro.exceptions import DomainError
+from repro.exceptions import DomainError, UnboundedObjectiveError
 from repro.experiments.config import SMOKE
-from repro.experiments.harness import _algorithm_stream_key
 from repro.privacy.rng import derive_substream
 from repro.regression.preprocessing import KFold
-from repro.runtime import CellPlan, PlannedFold, plan_cells, run_plan
+from repro.runtime import (
+    CellPlan,
+    PlannedFold,
+    algorithm_stream_key,
+    plan_cells,
+    run_plan,
+)
 from repro.session import ExecutionPolicy, Session
 
 EPSILONS = (0.1, 0.8, 3.2)
@@ -98,7 +103,7 @@ class TestBatchedEqualsPercell:
         fold = PlannedFold(
             rep=0, fold=0, X=X, y=y,
             train_idx=np.arange(40), test_idx=np.arange(40, 60),
-            stream_tag=(_algorithm_stream_key("FM"), 0, 0),
+            stream_tag=(algorithm_stream_key("FM"), 0, 0),
         )
         plan = CellPlan(
             algorithm="FM", task="linear", dims=3, dim=3, epsilons=(0.8,),
@@ -131,7 +136,7 @@ class TestHarnessBitCompatibility:
         either derivation format, so the comparison pins both the v2 default
         and the v1 legacy streams.
         """
-        key = _algorithm_stream_key(algorithm)
+        key = algorithm_stream_key(algorithm)
         base_n = preset.cardinality(dataset.n)
         scores = []
         for rep in range(preset.repetitions):
@@ -218,21 +223,34 @@ class TestBudgetSweepEquivalence:
         for epsilon in EPSILONS:
             assert batched[epsilon].mean_score == percell[epsilon].mean_score
 
-    def test_engine_path_still_available(self, us):
-        engine = _session(runtime="engine").budget_sweep(
-            us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=4,
-        )
-        batched = _session().budget_sweep(
-            us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=4,
-        )
-        # Same protocol and noise stream; the engine aggregates through the
-        # block-wise accumulator, so agreement is to accumulation accuracy.
-        assert engine[0.8].mean_score == pytest.approx(
-            batched[0.8].mean_score, rel=1e-9
-        )
+    @pytest.mark.parametrize("stream_version", [1, 2])
+    @pytest.mark.parametrize("task", ["linear", "logistic"])
+    @pytest.mark.parametrize("post_processing", ["rerun", "regularize"])
+    def test_non_spectral_repair_equals_percell(
+        self, us, post_processing, task, stream_version
+    ):
+        """A non-spectral repair is an ordinary plan option on the one path.
 
-    def test_shards_imply_engine_path(self, us):
-        result = _session(runtime="auto", shards=4).budget_sweep(
-            us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=0,
-        )
-        assert result[0.8].cells == SMOKE.folds * SMOKE.repetitions
+        The default policy must reproduce the per-cell oracle bit for bit
+        at every budget.  The ridge repair may legitimately give up on an
+        indefinite draw at a small budget; then both paths must give up on
+        the same draw.
+        """
+
+        def outcome(**runtime):
+            session = _session(stream_version=stream_version, **runtime)
+            try:
+                sweep = session.budget_sweep(
+                    us, task, dims=5, epsilons=EPSILONS, preset=SMOKE, seed=4,
+                    post_processing=post_processing,
+                )
+            except UnboundedObjectiveError as error:
+                return str(error)
+            return {
+                e: (r.mean_score, r.std_score, r.cells) for e, r in sweep.items()
+            }
+
+        default = outcome()
+        if post_processing == "rerun":
+            assert isinstance(default, dict)
+        assert default == outcome(runtime="percell")

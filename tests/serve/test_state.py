@@ -245,29 +245,31 @@ class TestWriterLock:
         release = threading.Event()
 
         def holder():
-            with use_recorder(recorder):
-                with tenant.locked():
-                    holding.set()
-                    release.wait(5.0)
+            with tenant.locked():
+                holding.set()
+                release.wait(5.0)
 
         def contender():
-            with use_recorder(recorder):
-                with tenant.locked():
-                    pass
+            with tenant.locked():
+                pass
 
-        first = threading.Thread(target=holder)
-        first.start()
-        assert holding.wait(5.0)
-        second = threading.Thread(target=contender)
-        second.start()
-        # give the contender time to hit the non-blocking acquire and count
-        for _ in range(100):
-            if recorder.summary()["counters"].get("serve.lock_contention"):
-                break
-            second.join(0.02)
-        release.set()
-        first.join(5.0)
-        second.join(5.0)
+        # The active-recorder slot is process-global: install it once here,
+        # around both threads, rather than in each thread (their lifetimes
+        # do not nest, so per-thread installs could restore out of order).
+        with use_recorder(recorder):
+            first = threading.Thread(target=holder)
+            first.start()
+            assert holding.wait(5.0)
+            second = threading.Thread(target=contender)
+            second.start()
+            # give the contender time to hit the non-blocking acquire and count
+            for _ in range(100):
+                if recorder.summary()["counters"].get("serve.lock_contention"):
+                    break
+                second.join(0.02)
+            release.set()
+            first.join(5.0)
+            second.join(5.0)
         assert recorder.summary()["counters"]["serve.lock_contention"] == 1
         registry.close()
 

@@ -26,12 +26,13 @@ class TestDefaultsAndValidation:
         assert policy.scale == "default"
         assert policy.sampling_rate == 1.0
         assert policy.seed == 0
-        assert policy.shards == 1
 
     @pytest.mark.parametrize(
         "field, bad",
         [
             ("runtime", "vectorized"),
+            ("runtime", "engine"),
+            ("runtime", "auto"),
             ("executor", "gpu"),
             ("max_workers", 0),
             ("max_workers", -2),
@@ -42,12 +43,18 @@ class TestDefaultsAndValidation:
             ("sampling_rate", 0.0),
             ("sampling_rate", 1.5),
             ("seed", "zero"),
-            ("shards", 0),
         ],
     )
     def test_invalid_values_rejected(self, field, bad):
         with pytest.raises(ExperimentError, match=field):
             ExecutionPolicy(**{field: bad})
+
+    def test_shards_is_not_a_policy_field(self):
+        """Sharded ingestion lives in ``repro engine`` / ShardedAccumulator."""
+        with pytest.raises(TypeError):
+            ExecutionPolicy(shards=2)
+        with pytest.raises(ExperimentError, match="unknown policy field"):
+            ExecutionPolicy.from_dict({"shards": 2})
 
     def test_frozen(self):
         policy = ExecutionPolicy()
@@ -81,7 +88,6 @@ class TestSerialization:
             scale="smoke",
             sampling_rate=0.5,
             seed=42,
-            shards=4,
         )
         assert ExecutionPolicy.from_json(policy.to_json()) == policy
         assert ExecutionPolicy.from_dict(policy.to_dict()) == policy
@@ -182,6 +188,8 @@ class TestLayeredResolution:
             ExecutionPolicy.resolve(env={"REPRO_SEED": "3.5"})
         with pytest.raises(ExperimentError, match="executor"):
             ExecutionPolicy.resolve(env={"REPRO_EXECUTOR": "gpu"})
+        with pytest.raises(ExperimentError, match="runtime"):
+            ExecutionPolicy.resolve(env={"REPRO_RUNTIME": "engine"})
 
     def test_bad_policy_file_raises(self, tmp_path):
         missing = tmp_path / "nope.json"

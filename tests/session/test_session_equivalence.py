@@ -87,7 +87,7 @@ class TestBitwiseEquivalence:
             k: _scores(v) for k, v in bare.items()
         }
 
-    @pytest.mark.parametrize("runtime", ["auto", "engine"])
+    @pytest.mark.parametrize("runtime", ["batched", "percell"])
     def test_evaluate_fm_budget_sweep(
         self, tiny_dataset, tiny_preset, stream_version, runtime
     ):

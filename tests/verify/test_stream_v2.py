@@ -76,19 +76,6 @@ class TestRuntimeEquivalencePerVersion:
         for epsilon in EPSILONS:
             assert batched[epsilon].mean_score == percell[epsilon].mean_score
 
-    def test_engine_path_agrees(self, us, stream_version):
-        """The streaming engine derives the same (seed, tag, version)
-        noise streams; agreement is to accumulation accuracy."""
-        engine = _session(
-            runtime="engine", stream_version=stream_version
-        ).budget_sweep(us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=4)
-        batched = _session(stream_version=stream_version).budget_sweep(
-            us, "linear", dims=5, epsilons=(0.8,), preset=SMOKE, seed=4,
-        )
-        assert engine[0.8].mean_score == pytest.approx(
-            batched[0.8].mean_score, rel=1e-9
-        )
-
     def test_grouped_panel_equals_individual_runs(self, us, stream_version):
         grouped = _session(stream_version=stream_version).evaluate_panel(
             ["FM", "NoPrivacy"], us, "linear", dims=5, epsilon=0.8, preset=SMOKE,
