@@ -9,9 +9,11 @@ paper describes it):
 2. Release every cell count with ``Lap(2 / epsilon)`` noise (replace-one
    count sensitivity is 2).  This is the *only* step that touches the data,
    so the whole pipeline is ``epsilon``-DP.
-3. Generate a synthetic dataset matching the noisy histogram (we regress on
+3. Generate a synthetic dataset matching the noisy histogram: by default
+   each cell emits its rounded noisy count of rows drawn uniformly inside
+   it (``synthesis_mode="points"``).  ``"weighted"`` instead regresses on
    noisy-count-weighted cell centers, which is how Lei's M-estimator
-   consumes the histogram and is equivalent to materializing the rows).
+   consumes the histogram directly.
 4. Run ordinary (non-private) regression on the synthetic data.
 
 The dimensionality curse the paper highlights emerges naturally: at fixed
@@ -79,16 +81,24 @@ def fit_on_synthetic(synthetic: SyntheticData, task: Task, dim: int) -> np.ndarr
     """
     if synthetic.effective_size <= 0.0:
         return np.zeros(dim)
+    # Points-mode rows all weigh 1, and scaling by sqrt(1.0) or 1.0 is
+    # exact, so dropping the weights leaves every float of the fit as it
+    # was and skips the passes that multiply by them.
+    weights = None if np.all(synthetic.weights == 1.0) else synthetic.weights
     if task == "linear":
-        model = LinearRegression().fit(synthetic.X, synthetic.y, sample_weight=synthetic.weights)
-        return model.coef_
+        X, y = synthetic.X, synthetic.y
+        if weights is None:
+            # The weighting passes produced C-contiguous copies; the Gram
+            # matrix is the same BLAS call only on the same layout.
+            X, y = np.ascontiguousarray(X), np.ascontiguousarray(y)
+        return LinearRegression().fit(X, y, sample_weight=weights).coef_
     labels = (synthetic.y > 0.5).astype(float)
     if np.unique(labels).size < 2:
         # Single-class synthetic data: the MLE direction is undefined; the
         # zero parameter predicts 0.5 everywhere, which is the honest output.
         return np.zeros(dim)
     model = LogisticRegressionModel(l2=_SYNTHETIC_FIT_L2).fit(
-        synthetic.X, labels, sample_weight=synthetic.weights
+        synthetic.X, labels, sample_weight=weights
     )
     return model.coef_
 
@@ -141,7 +151,7 @@ class DPME(BaselineRegressor):
             raise DataError(f"X must be a non-empty 2-d matrix, got shape {X.shape}")
         n, d = X.shape
         grid = build_joint_grid(n, d, self.task, cell_budget=self.cell_budget)
-        counts = histogram_counts(grid, np.hstack([X, y[:, None]]))
+        counts = histogram_counts(grid, X, y)
         noisy = counts + laplace_noise(
             COUNT_SENSITIVITY, self.epsilon, size=counts.shape, rng=self._rng
         )

@@ -109,7 +109,7 @@ class FilterPriority(BaselineRegressor):
             raise DataError(f"X must be a non-empty 2-d matrix, got shape {X.shape}")
         n, d = X.shape
         grid = build_joint_grid(n, d, self.task, cell_budget=self.cell_budget)
-        counts = histogram_counts(grid, np.hstack([X, y[:, None]]))
+        counts = histogram_counts(grid, X, y)
         scale = laplace_scale(COUNT_SENSITIVITY, self.epsilon)
         nonzero = np.nonzero(counts)[0]
         empty_count = grid.total_cells - nonzero.size

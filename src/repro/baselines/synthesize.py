@@ -5,18 +5,19 @@ counts over the joint ``(x, y)`` grid is turned back into a dataset that any
 (non-private) regression can consume.  Two equivalent materializations are
 offered:
 
-``weighted`` (default)
+``points``
+    Explicit rows: each retained cell emits ``count`` points, either at the
+    cell center or uniformly within the cell.  DPME and Filter-Priority
+    default to this mode with ``uniform`` placement: it materializes the
+    synthetic dataset row by row as the original methods do.
+
+``weighted``
     One representative point per retained cell — its center — with the
     rounded noisy count as a sample weight.  Mathematically identical to
     replicating the center ``count`` times for both weighted least squares
     and weighted logistic MLE, but O(cells) instead of O(sum of counts);
     this mirrors how Lei's M-estimator consumes the histogram directly.
-
-``points``
-    Explicit rows: each retained cell emits ``count`` points, either at the
-    cell center or uniformly within the cell.  Used by tests (to confirm
-    equivalence with ``weighted``) and by examples that want a tangible
-    synthetic dataset.
+    It is this function's default and the fast choice for test runs.
 
 Negative noisy counts are clamped to zero and fractional counts are rounded
 — standard post-processing that costs no privacy budget.
@@ -107,17 +108,19 @@ def synthesize_from_counts(
             y=centers[:, -1],
             weights=counts[occupied].astype(float),
         )
-    total = int(counts[occupied].sum())
+    runs = counts[occupied]
+    total = int(runs.sum())
     if total > _MAX_POINTS:
         raise DataError(
             f"synthetic dataset would have {total} rows (cap {_MAX_POINTS}); "
             f"use mode='weighted'"
         )
-    flat = np.repeat(occupied, counts[occupied])
+    # Each occupied cell is unraveled once and its coordinates repeated by
+    # count: row for row what expanding the counts into flat indices gives.
     if placement == "center":
-        rows = grid.cell_center(flat)
+        rows = np.repeat(grid.cell_center(occupied), runs, axis=0)
     else:
-        rows = grid.sample_in_cells(flat, rng=ensure_rng(rng))
+        rows = grid.sample_runs(occupied, runs, rng=ensure_rng(rng))
     return SyntheticData(
         X=rows[:, :-1], y=rows[:, -1], weights=np.ones(rows.shape[0])
     )

@@ -81,6 +81,26 @@ class TestPointsMode:
         # Spread within the cell, not collapsed to the center.
         assert synth.X[:, 0].std() > 0.05
 
+    @pytest.mark.parametrize("placement", ["center", "uniform"])
+    def test_rows_bitwise_equal_expanded_indices(self, joint_grid, rng, placement):
+        # Expanding the counts into one flat index per row is the original
+        # construction; the run-length path must reproduce it bit for bit.
+        counts = rng.laplace(2.0, 3.0, size=8)
+        synth = synthesize_from_counts(
+            joint_grid, counts, mode="points", placement=placement, rng=5
+        )
+        rounded = np.round(np.maximum(counts, 0.0)).astype(np.int64)
+        flat = np.repeat(np.arange(8), rounded)
+        if placement == "center":
+            rows = joint_grid.cell_center(flat)
+        else:
+            rows = joint_grid.sample_in_cells(flat, rng=5)
+        for got, want in ((synth.X, rows[:, :-1]), (synth.y, rows[:, -1])):
+            assert np.array_equal(
+                np.ascontiguousarray(got).view(np.uint64),
+                np.ascontiguousarray(want).view(np.uint64),
+            )
+
     def test_row_cap_enforced(self, joint_grid):
         counts = np.zeros(8)
         counts[0] = 6_000_000.0
