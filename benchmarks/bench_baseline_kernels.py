@@ -46,9 +46,10 @@ PINS = json.loads(
 )
 
 _CHILD = r"""
-import ctypes, glob, json, os, sys, time
-from pathlib import Path
+import json, sys, time
 import numpy as np
+sys.path.insert(0, sys.argv[2])
+from conftest import machine_record
 from repro.baselines import DPME, FilterPriority, dpme, filter_priority
 from repro.data.census import load_us
 
@@ -90,24 +91,6 @@ def uniform_seconds(rows, dims):
     return time.perf_counter() - started
 
 
-def blas():
-    try:
-        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        vendor = f"{info.get('name')} {info.get('version')}"
-    except (KeyError, TypeError, ValueError):
-        vendor = "unknown"
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(glob.glob(str(libs / "*openblas*.so*"))):
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_num_threads64_",
-                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            if hasattr(lib, symbol):
-                getter = getattr(lib, symbol)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return vendor, int(getter())
-    return vendor, None
-
-
 cases = {}
 for cls, module in ((DPME, dpme), (FilterPriority, filter_priority)):
     for epsilon in (0.1, 3.2):
@@ -128,16 +111,7 @@ for cls, module in ((DPME, dpme), (FilterPriority, filter_priority)):
             "uniform_draw_s": best.pop("uniform_draw"),
             "coef": coef,
         }
-vendor, threads = blas()
-print(json.dumps({
-    "machine": {
-        "visible_cores": len(os.sched_getaffinity(0)),
-        "blas_vendor": vendor,
-        "blas_threads": threads,
-        "numpy": np.__version__,
-    },
-    "cases": cases,
-}))
+print(json.dumps({"machine": machine_record(), "cases": cases}))
 """
 
 _SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -146,7 +120,7 @@ _SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_
 @pytest.fixture(scope="module")
 def measurements(results_dir) -> dict:
     result = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(REPEATS)],
+        [sys.executable, "-c", _CHILD, str(REPEATS), str(Path(__file__).resolve().parent)],
         env={**os.environ, **_SINGLE_THREAD},
         capture_output=True,
         text=True,

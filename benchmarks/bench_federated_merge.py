@@ -17,6 +17,18 @@ Reported per party count:
   merge + sweep fit, i.e. the full coordinator critical path;
 * ``wire_bytes`` — total envelope bytes crossing the "network".
 
+A separate decode-scaling row decodes one share-mode party envelope
+(d=14) holding 16, 64 and 256 blocks and reports the best-of-
+``DECODE_REPEATS`` decode time per block.  Decoding must be linear in
+the block count, so its fixed per-envelope cost (header, checksums,
+archive parsing) amortizes: the per-block time at 256 blocks may be at
+most ``DECODE_SCALING_CEILING`` (half) that at 16 blocks.  A linear
+decoder lands near 0.16x on a 2-vCPU x86 host; one that re-reads a whole
+``.npz`` member per block pays six reads per block, each growing with
+the block count, and lands at 1.2-2x.  The gate is machine-relative,
+so it runs on any host (CI:
+``pytest benchmarks/bench_federated_merge.py -k decode``).
+
 Results merge into ``BENCH_harness.json`` under ``federated_merge``.
 """
 
@@ -26,13 +38,15 @@ import time
 
 import numpy as np
 import pytest
-from conftest import save_and_print
+from conftest import machine_record, save_and_print
 
 from repro.federated import (
     FederatedCoordinator,
     FederationSpec,
     centralized_fit,
+    decode_envelope,
     run_parties,
+    run_party,
 )
 
 ROWS = int(os.environ.get("FED_BENCH_ROWS", "60000"))
@@ -40,6 +54,15 @@ DIMS = int(os.environ.get("FED_BENCH_DIMS", "10"))
 PARTY_COUNTS = (2, 4, 8)
 EPSILONS = (0.1, 0.2, 0.4, 0.8, 1.6, 3.2)
 SEED = 29
+
+DECODE_DIMS = 14
+DECODE_BLOCKS = (16, 64, 256)
+#: Rows per block in the decode row; decode cost depends on the block
+#: count and d, not on how many rows each block summarizes.
+DECODE_BLOCK_SIZE = 512
+DECODE_REPEATS = 21
+#: Per-block decode time at the most blocks over that at the fewest.
+DECODE_SCALING_CEILING = 0.5
 
 
 def _rows(n=ROWS, d=DIMS, seed=17):
@@ -137,3 +160,82 @@ def test_ingest_throughput_floor(measurements):
     the party path."""
     for parties, row in measurements["rows"].items():
         assert row["ingest_rows_per_second"] > 5_000.0, (parties, row)
+
+
+def _party_envelope(blocks):
+    """One share-mode party envelope holding exactly ``blocks`` blocks."""
+    rng = np.random.default_rng(blocks)
+    n = blocks * DECODE_BLOCK_SIZE
+    X = rng.normal(size=(n, DECODE_DIMS))
+    X /= np.maximum(1.0, np.linalg.norm(X, axis=1, keepdims=True) * 1.01)
+    y = np.clip(X @ rng.normal(size=DECODE_DIMS), -1.0, 1.0)
+    spec = FederationSpec(
+        task="linear",
+        dim=DECODE_DIMS,
+        epsilons=EPSILONS,
+        seed=SEED,
+        parties=4,
+        noise_mode="share",
+        block_size=DECODE_BLOCK_SIZE,
+    )
+    return run_party(spec, 0, X, y)
+
+
+def _decode_seconds(blobs):
+    """Best-of-``DECODE_REPEATS`` decode time per block count.
+
+    Repeats go round-robin over the block counts, so a load spike on a
+    shared host hits every size alike rather than skewing the ratio.
+    """
+    best = dict.fromkeys(blobs, float("inf"))
+    for _ in range(DECODE_REPEATS):
+        for blocks, blob in blobs.items():
+            started = time.perf_counter()
+            envelope = decode_envelope(blob)
+            best[blocks] = min(best[blocks], time.perf_counter() - started)
+            assert envelope.accumulator.num_blocks == blocks
+    return best
+
+
+@pytest.fixture(scope="module")
+def decode_scaling(results_dir):
+    blobs = {blocks: _party_envelope(blocks) for blocks in DECODE_BLOCKS}
+    rows = {
+        blocks: {
+            "envelope_bytes": len(blobs[blocks]),
+            "decode_ms": seconds * 1e3,
+            "per_block_us": seconds / blocks * 1e6,
+        }
+        for blocks, seconds in _decode_seconds(blobs).items()
+    }
+    ratio = rows[DECODE_BLOCKS[-1]]["per_block_us"] / rows[DECODE_BLOCKS[0]]["per_block_us"]
+    machine = machine_record()
+    lines = [
+        f"share-mode party envelope decode vs block count (d={DECODE_DIMS}, "
+        f"{DECODE_BLOCK_SIZE}-row blocks, best of {DECODE_REPEATS}, {machine})"
+    ]
+    for blocks, row in rows.items():
+        lines.append(
+            f"  {blocks:>4} blocks: {row['envelope_bytes']:>9,}B  "
+            f"decode {row['decode_ms']:8.2f}ms  {row['per_block_us']:8.1f}us/block"
+        )
+    lines.append(
+        f"  per-block time {DECODE_BLOCKS[-1]} vs {DECODE_BLOCKS[0]} blocks: "
+        f"{ratio:.2f}x (ceiling {DECODE_SCALING_CEILING}x)"
+    )
+    save_and_print(results_dir, "federated_decode", "\n".join(lines))
+    payload = {
+        "dims": DECODE_DIMS,
+        "block_size": DECODE_BLOCK_SIZE,
+        "repeats": DECODE_REPEATS,
+        "machine": machine,
+        "blocks": rows,
+        "per_block_ratio": ratio,
+    }
+    (results_dir / "federated_decode.json").write_text(json.dumps(payload, indent=2) + "\n")
+    return payload
+
+
+def test_decode_is_linear_in_blocks(decode_scaling):
+    """The fixed per-envelope decode cost amortizes over the blocks."""
+    assert decode_scaling["per_block_ratio"] <= DECODE_SCALING_CEILING, decode_scaling

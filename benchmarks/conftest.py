@@ -14,8 +14,12 @@ baselines opens up (see ``repro.experiments.config``).
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro.data import load_brazil, load_us
@@ -56,6 +60,33 @@ def save_and_print(results_dir: pathlib.Path, name: str, text: str) -> None:
     """Persist a rendered table and echo it (visible with ``pytest -s``)."""
     (results_dir / f"{name}.txt").write_text(text + "\n")
     print("\n" + text)
+
+
+def machine_record() -> dict:
+    """The host facts a timing depends on, for a bench's committed entry:
+    visible cores, the BLAS numpy was built with and its thread count
+    (asked of the library itself), and the numpy version."""
+    try:
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        vendor = f"{info.get('name')} {info.get('version')}"
+    except (KeyError, TypeError, ValueError):
+        vendor = "unknown"
+    threads = None
+    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libs / "*openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if threads is None and hasattr(lib, symbol):
+                getter = getattr(lib, symbol)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                threads = int(getter())
+    return {
+        "visible_cores": len(os.sched_getaffinity(0)),
+        "blas_vendor": vendor,
+        "blas_threads": threads,
+        "numpy": np.__version__,
+    }
 
 
 def run_figure(name: str, dataset, task: str | None = None, **kwargs):

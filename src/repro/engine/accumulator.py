@@ -230,6 +230,23 @@ class MomentAccumulator:
     # Ingestion
     # ------------------------------------------------------------------
     def _check_chunk(self, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coerce one chunk to contiguous float arrays and validate it.
+
+        Non-finite entries always raise :class:`DataError`; with
+        ``validate`` on, rows outside ``||x||_2 <= 1`` or targets outside
+        ``[-1, 1]`` raise :class:`DomainError`.  A non-finite value
+        anywhere wins over a domain violation anywhere, and a feature
+        violation wins over a target one.  Nothing is mutated before the
+        checks pass.
+
+        The chunk is walked in fixed :data:`DEFAULT_BLOCK_SIZE`-row
+        slices, so every temporary stays cache-sized whatever the chunk
+        length.  The slice size never changes an outcome: the largest
+        squared row norm is ``add.reduce(x * x, axis=1)`` per row, which
+        is exactly what ``np.linalg.norm(X, axis=1)`` square-roots for
+        real input, and the square root of the maximum equals the
+        maximum of the square roots.
+        """
         X = np.ascontiguousarray(np.asarray(X, dtype=float))
         y = np.ascontiguousarray(np.asarray(y, dtype=float).ravel())
         if X.ndim != 2:
@@ -238,16 +255,22 @@ class MomentAccumulator:
             raise DataError(f"X has {X.shape[1]} columns; accumulator has dim {self._dim}")
         if X.shape[0] != y.shape[0]:
             raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-            raise DataError("chunk entries must be finite")
+        max_sq = max_y = 0.0
+        for start in range(0, X.shape[0], DEFAULT_BLOCK_SIZE):
+            xb = X[start : start + DEFAULT_BLOCK_SIZE]
+            yb = y[start : start + DEFAULT_BLOCK_SIZE]
+            if not (np.isfinite(xb).all() and np.isfinite(yb).all()):
+                raise DataError("chunk entries must be finite")
+            if self._validate:
+                max_sq = max(max_sq, float(np.add.reduce(xb * xb, axis=1).max()))
+                max_y = max(max_y, float(np.abs(yb).max()))
         if self._validate and X.shape[0]:
-            max_norm = float(np.linalg.norm(X, axis=1).max())
+            max_norm = math.sqrt(max_sq)
             if max_norm > 1.0 + NORM_TOLERANCE:
                 raise DomainError(
                     f"feature vectors must satisfy ||x||_2 <= 1 (footnote 1); "
                     f"max norm is {max_norm:.6f} — apply FeatureScaler first"
                 )
-            max_y = float(np.abs(y).max())
             if max_y > 1.0 + NORM_TOLERANCE:
                 raise DomainError(
                     f"targets must lie in [-1, 1]; max |y| is {max_y:.6f} — "
@@ -402,27 +425,49 @@ class MomentAccumulator:
     def load(cls, path, validate: bool = True) -> "MomentAccumulator":
         """Reconstruct an accumulator saved by :meth:`save`.
 
+        Each ``.npz`` member is read exactly once (an ``NpzFile`` lookup
+        re-reads and re-parses the whole member), so decoding costs
+        O(blocks): every block's partials are row views of the stacked
+        arrays, safe to share because blocks are never mutated.
+
         Files from before the tail-preserving format (no ``tail_X``
         entry) load fine: their tail was sealed at save time, so they
         restore as all-sealed blocks — statistics identical, block
         boundaries already shifted by the old save.
+
+        Raises
+        ------
+        DataError
+            The per-block members disagree in length, or the stored row
+            count is not the blocks' counts plus the tail's rows.
         """
         with np.load(path) as data:
             dim, block_size, n = (int(v) for v in data["meta"])
-            out = cls(dim, block_size=block_size, validate=validate)
-            out._units = [
-                _Unit(
-                    S2=data["S2"][i],
-                    S1=data["S1"][i],
-                    Sxy=data["Sxy"][i],
-                    Sy=float(data["Sy"][i]),
-                    Syy=float(data["Syy"][i]),
-                    count=int(data["counts"][i]),
-                )
-                for i in range(data["counts"].shape[0])
-            ]
-            if "tail_X" in data.files and data["tail_X"].shape[0]:
-                out._tail_X = np.ascontiguousarray(data["tail_X"])
-                out._tail_y = np.ascontiguousarray(data["tail_y"])
-            out._n = n
+            S2, S1, Sxy = data["S2"], data["S1"], data["Sxy"]
+            Sy, Syy = data["Sy"].tolist(), data["Syy"].tolist()
+            counts = data["counts"].tolist()
+            if "tail_X" in data.files:
+                tail_X, tail_y = data["tail_X"], data["tail_y"]
+            else:  # sealed-only file from before the tail-preserving format
+                tail_X = tail_y = np.zeros(0)
+        lengths = {len(S2), len(S1), len(Sxy), len(Sy), len(Syy), len(counts)}
+        if len(lengths) != 1:
+            raise DataError(
+                f"accumulator file is inconsistent: per-block members have "
+                f"lengths {sorted(lengths)}"
+            )
+        if n != sum(counts) + len(tail_y):
+            raise DataError(
+                f"accumulator file is inconsistent: meta says {n} rows, blocks "
+                f"and tail hold {sum(counts) + len(tail_y)}"
+            )
+        out = cls(dim, block_size=block_size, validate=validate)
+        out._units = [
+            _Unit(S2=S2[i], S1=S1[i], Sxy=Sxy[i], Sy=Sy[i], Syy=Syy[i], count=counts[i])
+            for i in range(len(counts))
+        ]
+        if len(tail_y):
+            out._tail_X = np.ascontiguousarray(tail_X)
+            out._tail_y = np.ascontiguousarray(tail_y)
+        out._n = n
         return out
