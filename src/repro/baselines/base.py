@@ -63,6 +63,18 @@ class BaselineRegressor(abc.ABC):
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict targets (linear) or hard labels (logistic)."""
 
+    def fit_statistics(self, statistics, rows=None) -> "BaselineRegressor":
+        """Fit from a training split's moment snapshot instead of its rows.
+
+        Implemented by the algorithms the runtime batches as closed-form
+        quadratic solves; the per-cell oracle fits them this way from the
+        same fold statistics the batched kernels use.  ``rows`` is a
+        zero-argument callable returning the split's ``(X, y)``, called
+        only by an estimator whose fallback needs the raw rows.  The
+        caller owns the input gate :meth:`fit` applies.
+        """
+        raise NotImplementedError(f"{type(self).__name__} fits from rows only")
+
     def score(self, X: np.ndarray, y: np.ndarray) -> float:
         """The paper's accuracy metric: MSE (linear) / misclassification (logistic)."""
         predictions = self.predict(X)

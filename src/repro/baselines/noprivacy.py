@@ -37,6 +37,14 @@ class NoPrivacy(BaselineRegressor):
         self.coef_ = self._model.coef_
         return self
 
+    def fit_statistics(self, statistics, rows=None) -> "NoPrivacy":
+        """OLS from a moment snapshot (linear task only)."""
+        if self.task != "linear":
+            raise NotImplementedError("logistic NoPrivacy fits from rows only")
+        self._model = LinearRegression().fit_statistics(statistics, rows)
+        self.coef_ = self._model.coef_
+        return self
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         self._require_fitted()
         assert self._model is not None
@@ -70,6 +78,11 @@ class FMBaseline(BaselineRegressor):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "FMBaseline":
         self._model.fit(X, y)
+        self.coef_ = self._model.coef_
+        return self
+
+    def fit_statistics(self, statistics, rows=None) -> "FMBaseline":
+        self._model.fit_statistics(statistics)
         self.coef_ = self._model.coef_
         return self
 

@@ -25,6 +25,7 @@ from ..core.objectives import (
     LinearRegressionObjective,
     LogisticRegressionObjective,
 )
+from ..core.polynomial import QuadraticForm
 from ..exceptions import DataError
 from ..regression.logistic import sigmoid
 from .base import BaselineRegressor, Task, register_algorithm
@@ -63,15 +64,17 @@ class Truncated(BaselineRegressor):
         y = np.asarray(y, dtype=float).ravel()
         if X.ndim != 2 or X.shape[0] == 0:
             raise DataError(f"X must be a non-empty 2-d matrix, got shape {X.shape}")
-        d = X.shape[1]
-        if self.task == "linear":
-            objective = LinearRegressionObjective(d)
-        else:
-            objective = LogisticRegressionObjective(
-                d, approximation=self.approximation, radius=self.radius
-            )
+        objective = self._objective(X.shape[1])
         objective.validate(X, y)
-        form = objective.aggregate_quadratic(X, y)
+        return self.fit_statistics(objective.aggregate_quadratic(X, y))
+
+    def fit_statistics(self, statistics, rows=None) -> "Truncated":
+        """Minimize from a moment snapshot or an aggregated quadratic form."""
+        objective = self._objective(statistics.dim)
+        if isinstance(statistics, QuadraticForm):
+            form = statistics
+        else:
+            form = statistics.quadratic_form(objective)
         # The noise-free M is PSD but may be singular (rank-deficient X);
         # the minimum-norm stationary point 2 M w = -alpha via pseudo-inverse
         # is the natural generalization of the closed-form solve.
@@ -82,6 +85,13 @@ class Truncated(BaselineRegressor):
 
             self.coef_ = active_backend().pinv(2.0 * form.M) @ (-form.alpha)
         return self
+
+    def _objective(self, dim: int) -> LinearRegressionObjective | LogisticRegressionObjective:
+        if self.task == "linear":
+            return LinearRegressionObjective(dim)
+        return LogisticRegressionObjective(
+            dim, approximation=self.approximation, radius=self.radius
+        )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         coef = self._require_fitted()

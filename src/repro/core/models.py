@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Optional
+from typing import TYPE_CHECKING, Literal, Optional
 
 import numpy as np
 
-from ..exceptions import DataError, NotFittedError
+from ..exceptions import DataError, DegreeError, NotFittedError
 from ..privacy.budget import PrivacyBudget
 from ..privacy.rng import RngLike, ensure_rng
 from ..regression.logistic import sigmoid
@@ -39,6 +39,9 @@ from .postprocess import (
     PostProcessingStrategy,
     get_strategy,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - engine imports core: a runtime cycle
+    from ..engine.accumulator import MomentSnapshot
 
 __all__ = ["FMLinearRegression", "FMLogisticRegression"]
 
@@ -87,6 +90,43 @@ def _fit_quadratic_private(
             note="Lemma-5 rerun surcharge",
         )
     return result.omega, record, result
+
+
+def _fit_statistics(model, statistics, objective):
+    """Shared ``fit_statistics`` body: release, repair, minimize and record.
+
+    ``statistics`` is an aggregated :class:`QuadraticForm` or anything
+    projecting onto ``objective`` through ``quadratic_form`` (a moment
+    snapshot or accumulator).
+    """
+    if isinstance(statistics, QuadraticForm):
+        form = statistics
+    else:
+        form = statistics.quadratic_form(objective)
+    omega, record, result = _fit_quadratic_private(
+        form=form,
+        sensitivity=objective.sensitivity(tight=model.tight_sensitivity),
+        epsilon=model.epsilon,
+        strategy=get_strategy(model.post_processing),
+        rng=ensure_rng(model.rng),
+        budget=model.budget,
+        ridge_lambda=model.ridge_lambda,
+    )
+    _store_fit(model, omega, record, result, objective)
+    return model
+
+
+def _store_fit(model, omega, record, result, objective) -> None:
+    """Record a release on ``model``, undoing the footnote-2 augmentation."""
+    if model.fit_intercept:
+        model.coef_ = omega[:-1] / math.sqrt(2.0)
+        model.intercept_ = float(omega[-1]) / math.sqrt(2.0)
+    else:
+        model.coef_ = omega
+        model.intercept_ = 0.0
+    model.record_ = record
+    model.postprocess_ = result
+    model.objective_ = objective
 
 
 @dataclass
@@ -153,26 +193,20 @@ class FMLinearRegression:
         LinearRegressionObjective(X.shape[1]).validate(X, y)
         X_fit = _augment_intercept(X) if self.fit_intercept else X
         objective = LinearRegressionObjective(X_fit.shape[1])
-        strategy = get_strategy(self.post_processing)
-        omega, record, result = _fit_quadratic_private(
-            form=objective.aggregate_quadratic(X_fit, y),
-            sensitivity=objective.sensitivity(tight=self.tight_sensitivity),
-            epsilon=self.epsilon,
-            strategy=strategy,
-            rng=ensure_rng(self.rng),
-            budget=self.budget,
-            ridge_lambda=self.ridge_lambda,
-        )
-        if self.fit_intercept:
-            self.coef_ = omega[:-1] / math.sqrt(2.0)
-            self.intercept_ = float(omega[-1]) / math.sqrt(2.0)
-        else:
-            self.coef_ = omega
-            self.intercept_ = 0.0
-        self.record_ = record
-        self.postprocess_ = result
-        self.objective_ = objective
-        return self
+        return self.fit_statistics(objective.aggregate_quadratic(X_fit, y))
+
+    def fit_statistics(
+        self, statistics: "MomentSnapshot | QuadraticForm"
+    ) -> "FMLinearRegression":
+        """Fit privately from the training rows' aggregated statistics.
+
+        ``statistics`` is a :class:`~repro.engine.accumulator.MomentSnapshot`
+        of the rows (the batched runtime's fold statistics) or their
+        aggregated :class:`QuadraticForm` (what :meth:`fit` passes) — of
+        the footnote-2 augmented rows when ``fit_intercept`` is set.  The
+        caller owns the domain check :meth:`fit` applies to raw rows.
+        """
+        return _fit_statistics(self, statistics, LinearRegressionObjective(statistics.dim))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict ``x^T w + b`` for each row."""
@@ -246,42 +280,42 @@ class FMLogisticRegression:
             raise DataError(f"X must be a non-empty 2-d matrix, got shape {X.shape}")
         LogisticRegressionObjective(X.shape[1]).validate(X, y)
         X_fit = _augment_intercept(X) if self.fit_intercept else X
-        objective = LogisticRegressionObjective(
-            X_fit.shape[1],
+        objective = self._objective(X_fit.shape[1])
+        if self.order == 2:
+            return self.fit_statistics(objective.aggregate_quadratic(X_fit, y))
+        generator = ensure_rng(self.rng)
+        mechanism = FunctionalMechanism(self.epsilon, rng=generator, budget=self.budget)
+        noisy, record = mechanism.perturb_polynomial(
+            objective.aggregate_polynomial(X_fit, y),
+            objective.sensitivity(tight=self.tight_sensitivity),
+        )
+        omega = self._minimize_on_ball(noisy, generator)
+        result = PostProcessResult(omega=omega, strategy="projected-ball")
+        _store_fit(self, omega, record, result, objective)
+        return self
+
+    def fit_statistics(
+        self, statistics: "MomentSnapshot | QuadraticForm"
+    ) -> "FMLogisticRegression":
+        """Fit privately (``order=2`` only) from aggregated statistics.
+
+        The statistics contract is :meth:`FMLinearRegression.fit_statistics`'s;
+        a :class:`~repro.engine.accumulator.MomentSnapshot` is projected
+        onto this estimator's approximation.
+        """
+        if self.order != 2:
+            raise DegreeError(
+                f"order-{self.order} objectives are not quadratic; fit the rows"
+            )
+        return _fit_statistics(self, statistics, self._objective(statistics.dim))
+
+    def _objective(self, dim: int) -> LogisticRegressionObjective:
+        return LogisticRegressionObjective(
+            dim,
             approximation=self.approximation,
             order=self.order,
             radius=self.radius,
         )
-        sensitivity = objective.sensitivity(tight=self.tight_sensitivity)
-        generator = ensure_rng(self.rng)
-        if self.order == 2:
-            strategy = get_strategy(self.post_processing)
-            omega, record, result = _fit_quadratic_private(
-                form=objective.aggregate_quadratic(X_fit, y),
-                sensitivity=sensitivity,
-                epsilon=self.epsilon,
-                strategy=strategy,
-                rng=generator,
-                budget=self.budget,
-                ridge_lambda=self.ridge_lambda,
-            )
-        else:
-            mechanism = FunctionalMechanism(self.epsilon, rng=generator, budget=self.budget)
-            noisy, record = mechanism.perturb_polynomial(
-                objective.aggregate_polynomial(X_fit, y), sensitivity
-            )
-            omega = self._minimize_on_ball(noisy, generator)
-            result = PostProcessResult(omega=omega, strategy="projected-ball")
-        if self.fit_intercept:
-            self.coef_ = omega[:-1] / math.sqrt(2.0)
-            self.intercept_ = float(omega[-1]) / math.sqrt(2.0)
-        else:
-            self.coef_ = omega
-            self.intercept_ = 0.0
-        self.record_ = record
-        self.postprocess_ = result
-        self.objective_ = objective
-        return self
 
     def _minimize_on_ball(
         self, poly: Polynomial, generator: np.random.Generator

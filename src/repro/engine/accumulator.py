@@ -96,9 +96,10 @@ def _exact_sum_arrays(arrays: Sequence[np.ndarray], shape: tuple[int, ...]) -> n
     """Entry-wise :func:`math.fsum` over a list of equal-shape arrays."""
     if not arrays:
         return np.zeros(shape)
-    flat = np.stack(arrays).reshape(len(arrays), -1)
-    out = np.array([math.fsum(flat[:, j]) for j in range(flat.shape[1])])
-    return out.reshape(shape)
+    # One Python list per entry: fsum over a list skips numpy's per-element
+    # scalar boxing, and a correctly-rounded sum cannot depend on it.
+    columns = np.stack(arrays).reshape(len(arrays), -1).T.tolist()
+    return np.array([math.fsum(column) for column in columns]).reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -190,9 +190,8 @@ def _accuracy_sweep(
     ``prepared_cache`` may span the whole sweep (a session's persistent
     cache): identity-case task arrays are shared across points (they are
     materialized at planning time, outside the fit clock), while
-    fold-level moment blocks can never collide across points — each
-    point's ``seed + 1000 * i`` derives distinct fold permutations, and
-    the moment key includes the train-index digest — so the timing
+    fold accumulators can never collide across points — they are keyed
+    by the identity of each plan's own fold index vectors — so the timing
     figures' reported fit times stay attributed to their own point.
     """
     algorithms = tuple(algorithms or _algorithms_for(task))

@@ -320,8 +320,7 @@ def _evaluate_panel(
     The body of :meth:`repro.session.Session.evaluate_panel`.  All
     algorithms plan over one shared
     :class:`~repro.runtime.PreparedDataCache` — each repetition's prepared
-    arrays (and, where training splits coincide, their Gram/moment blocks)
-    materialize once for the whole panel — and execute as one
+    arrays materialize once for the whole panel — and execute as one
     :func:`~repro.runtime.run_plan_group`, which merges the quadratic
     algorithms' closed-form solves into one stacked LAPACK call.  Results
     are bitwise identical to evaluating each name alone.

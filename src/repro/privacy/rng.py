@@ -98,18 +98,19 @@ def derive_substream(
 
     ``stream_version`` selects the derivation format:
 
-    ``1`` (default)
+    ``1`` (this function's default argument)
         The historical format: entropy is ``[seed, *tag]`` verbatim.  Every
-        stream the harness has ever published uses it, so it stays the
-        default indefinitely.
-    ``2``
+        stream the harness published before the runtime default moved to
+        version 2 uses it; pass ``stream_version=1`` to replay them.
+    ``2`` (the runtime default)
         Appends ``[len(tag), 0x5D5EC0DE]`` (tag length + a fixed domain
         separator) to the entropy, which removes the zero-padding alias
         described below: ``[a, b]`` and ``[a, b, 0]`` derive different
         entropy lists (``[s, a, b, 2, D]`` vs ``[s, a, b, 0, 3, D]``) and
-        therefore independent streams.  Opting in reshuffles every stream,
-        so it must be an explicit, recorded decision (the runtime plumbs it
-        as ``stream_version=`` end to end).
+        therefore independent streams.  Sessions and the CLI derive
+        version-2 streams unless a policy pins version 1
+        (:data:`repro.session.policy.DEFAULT_STREAM_VERSION`); the runtime
+        plumbs the choice as ``stream_version=`` end to end.
 
     .. warning::
         Under version 1, ``numpy.random.SeedSequence`` zero-pads entropy to
@@ -120,8 +121,7 @@ def derive_substream(
         (e.g. the harness's ``[key, rep]`` data stream vs ``[key, rep, 0]``
         fold-0 cell stream) inherit this aliasing; it is pinned by tests
         because changing the derivation would reshuffle every stream the
-        harness has ever produced.  Version 2 is the fix, behind the
-        explicit opt-in.
+        harness produced under it.  Version 2 is the fix.
     """
     if stream_version not in STREAM_VERSIONS:
         raise ValueError(

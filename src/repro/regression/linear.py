@@ -15,7 +15,7 @@ augmenting the feature matrix with a constant column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,11 +25,17 @@ from .metrics import mean_squared_error
 __all__ = ["LinearRegression", "RidgeRegression"]
 
 
+class _NormalEquations(NamedTuple):
+    """The Gram ``S2 = X^T X`` and moment ``Sxy = X^T y`` of a design."""
+
+    S2: np.ndarray
+    Sxy: np.ndarray
+
+
 def _solve_normal_equations(
     gram: np.ndarray,
     moment: np.ndarray,
-    design: np.ndarray,
-    target: np.ndarray,
+    rows: Callable[[], tuple[np.ndarray, np.ndarray]] | None,
     finite_fallback: bool = True,
 ) -> np.ndarray:
     """Solve ``gram @ w = moment`` with an SVD least-squares fallback.
@@ -38,22 +44,31 @@ def _solve_normal_equations(
     exactly singular — LAPACK raises — or, with ``finite_fallback``, when
     the solve produced non-finite weights from a numerically degenerate
     system; either way the minimum-norm least-squares solution on the
-    original design matrix is the answer OLS theory prescribes.  Ridge
+    original design matrix — ``rows()`` returns ``(design, target)``,
+    materialized only here — is the answer OLS theory prescribes.  Ridge
     disables the non-finite rescue: ``lstsq(design, target)`` drops the
     penalty, so substituting it for a penalized solve would silently
     change the estimator.
     """
     from ..runtime.backend import active_backend
 
+    def lstsq() -> np.ndarray:
+        if rows is None:
+            raise DataError(
+                "the normal equations are degenerate and no design rows were "
+                "given for the least-squares fallback"
+            )
+        weights, *_ = np.linalg.lstsq(*rows(), rcond=None)
+        return weights
+
     try:
         # Backends translate their failures to LinAlgError, so the
         # fallback ladder below is engine-independent.
         weights = active_backend().solve(gram, moment)
     except np.linalg.LinAlgError:
-        weights, *_ = np.linalg.lstsq(design, target, rcond=None)
-        return weights
+        return lstsq()
     if finite_fallback and not np.all(np.isfinite(weights)):
-        weights, *_ = np.linalg.lstsq(design, target, rcond=None)
+        return lstsq()
     return weights
 
 
@@ -129,10 +144,28 @@ class LinearRegression:
             root = np.sqrt(w)
             design = design * root[:, None]
             y = y * root
-        gram = design.T @ design
-        moment = design.T @ y
-        self._unpack(_solve_normal_equations(gram, moment, design, y))
+        return self.fit_statistics(
+            _NormalEquations(design.T @ design, design.T @ y), lambda: (design, y)
+        )
+
+    def fit_statistics(
+        self,
+        statistics,
+        rows: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
+    ) -> "LinearRegression":
+        """Fit from the design's Gram ``statistics.S2`` and moment ``statistics.Sxy``.
+
+        ``statistics`` is a :class:`~repro.engine.accumulator.MomentSnapshot`
+        (the batched runtime's fold statistics) or the normal equations
+        :meth:`fit` forms — of the intercept-augmented design when
+        ``fit_intercept`` is set.  ``rows`` returns ``(design, target)``
+        for the least-squares fallback and is called only if that fires.
+        """
+        self._unpack(self._solve(statistics.S2, statistics.Sxy, rows))
         return self
+
+    def _solve(self, gram: np.ndarray, moment: np.ndarray, rows) -> np.ndarray:
+        return _solve_normal_equations(gram, moment, rows)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict targets for ``X``."""
@@ -178,26 +211,10 @@ class RidgeRegression(LinearRegression):
         if self.lam < 0.0 or not np.isfinite(self.lam):
             raise ValueError(f"lam must be non-negative and finite, got {self.lam!r}")
 
-    def fit(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        sample_weight: np.ndarray | None = None,
-    ) -> "RidgeRegression":
-        X, y = _validate_xy(X, y)
-        w = _validate_weights(sample_weight, X.shape[0])
-        design = self._design(X)
-        if w is not None:
-            root = np.sqrt(w)
-            design = design * root[:, None]
-            y = y * root
-        p = design.shape[1]
-        penalty = self.lam * np.eye(p)
+    def _solve(self, gram: np.ndarray, moment: np.ndarray, rows) -> np.ndarray:
+        penalty = self.lam * np.eye(gram.shape[0])
         if self.fit_intercept:
             penalty[-1, -1] = 0.0  # do not shrink the intercept
-        gram = design.T @ design + penalty
-        moment = design.T @ y
-        self._unpack(
-            _solve_normal_equations(gram, moment, design, y, finite_fallback=False)
+        return _solve_normal_equations(
+            gram + penalty, moment, rows, finite_fallback=False
         )
-        return self

@@ -7,8 +7,9 @@ into a three-stage pipeline:
 1. :mod:`~repro.runtime.plan` enumerates every cell with its deterministic
    RNG substream — eagerly (a :class:`CellPlan`) or lazily in bounded
    repetition tiles (a :class:`TiledPlan`), with a shared
-   :class:`PreparedDataCache` reusing prepared arrays and moment blocks
-   across algorithms, repetitions and budgets,
+   :class:`PreparedDataCache` reusing prepared arrays across algorithms,
+   repetitions and budgets, and each repetition's per-fold accumulators
+   (:func:`fold_statistics`) across its folds,
 2. :mod:`~repro.runtime.kernels` executes all batchable cells as stacked
    ``(B, d, d)`` LAPACK solves and a masked batched Newton — bitwise
    identical to the scalar per-cell solves on the default numpy backend,
@@ -69,7 +70,7 @@ from .plan import (
     plan_cells,
     plan_cells_tiled,
 )
-from .runner import PlanResult, run_plan, run_plan_group
+from .runner import PlanResult, fold_statistics, run_plan, run_plan_group
 
 __all__ = [
     "BACKEND_NAMES",
@@ -108,6 +109,7 @@ __all__ = [
     "classify_kernel",
     "plan_cells",
     "plan_cells_tiled",
+    "fold_statistics",
     "PlanResult",
     "run_plan",
     "run_plan_group",

@@ -47,10 +47,12 @@ tiles).  It provides two reuses, both bit-exact because they only share
   is exactly the paper's FULL protocol), ``regression_task`` is a pure
   function of ``(dataset, task, dims)``, so one normalized array pair
   serves every repetition of every algorithm;
-* **moment blocks** — the quadratic sufficient statistics
-  (Gram/moment/objective coefficients) of a training split, keyed by the
-  split's identity, shared across all epsilons and across any plans that
-  aggregate the same split with the same objective.
+* **fold accumulators** — one
+  :class:`~repro.engine.accumulator.MomentAccumulator` per fold of a
+  repetition, built from that fold's held-out rows.  Every fold of the
+  repetition derives its training statistics from them (see
+  :func:`repro.runtime.runner.fold_statistics`), so each row is aggregated
+  once per repetition, for every epsilon and every quadratic kernel.
 
 Kernel classification
 ---------------------
@@ -169,7 +171,7 @@ def classify_kernel(algorithm: str, task: Task, kwargs: Mapping) -> str:
 # Prepared-data reuse
 # ----------------------------------------------------------------------
 class PreparedDataCache:
-    """Shares prepared arrays and moment blocks across plans, bit-exactly.
+    """Shares prepared arrays and fold accumulators across plans, bit-exactly.
 
     Two independent caches live here:
 
@@ -179,25 +181,31 @@ class PreparedDataCache:
       subsample, sampling rate 1.0), where preparation is a pure function
       of the key; every repetition of every algorithm then shares one
       array pair instead of each materializing its own copy.
-    * ``moment_blocks`` — per-training-split sufficient statistics (the
-      quadratic kernels' Gram/moment/objective blocks), keyed by the split
-      arrays' identity, a digest of the index vector, and an
-      objective/aggregation signature.  Values are cached through weak
-      references to the split arrays, so the cache never extends a tile's
-      lifetime — once a tile's arrays are dropped, its moment entries
+    * ``fold_accumulators`` — one repetition's per-fold moment
+      accumulators, keyed by the identity of the repetition's prepared
+      arrays and of every fold's test-index vector.  Values are cached
+      through weak references to those arrays, so the cache never extends
+      a tile's lifetime — once a tile's arrays are dropped, its entries
       become reclaimable too.
 
     Sharing is safe for bit-identity because a hit returns the *identical*
     values the miss path would compute: the cache changes how often the
     arithmetic runs, never what it computes.
+
+    Telemetry: ``prepared_cache.task_hits``/``task_misses`` count
+    ``task_arrays`` lookups; ``prepared_cache.moment_misses`` counts
+    repetitions whose fold accumulators were built, and
+    ``prepared_cache.moment_hits`` counts fold-statistics lookups served
+    by an already built repetition (``K - 1`` per repetition of a
+    ``K``-fold plan executed once).
     """
 
     def __init__(self) -> None:
-        # id-keyed entries carry a weakref to their source object; the
-        # stored ref is checked against the live object so a recycled id
-        # can never serve stale data.
+        # id-keyed entries carry weakrefs to their source objects; the
+        # stored refs are checked against the live objects so a recycled
+        # id can never serve stale data.
         self._tasks: dict[tuple, tuple[weakref.ref, object]] = {}
-        self._moments: dict[tuple, tuple[weakref.ref, weakref.ref, object]] = {}
+        self._moments: dict[tuple, tuple[tuple[weakref.ref, ...], object]] = {}
 
     def __reduce__(self):
         # A cache's entries are keyed by object identity and held through
@@ -224,43 +232,35 @@ class PreparedDataCache:
             self._prune()
         return prepared
 
-    @staticmethod
-    def split_digest(train_idx: np.ndarray) -> bytes:
-        """A compact content key for one training-index vector."""
-        return hashlib.sha256(np.ascontiguousarray(train_idx).tobytes()).digest()
+    def fold_accumulators(
+        self, folds: Sequence["PlannedFold"], build: Callable[[], tuple]
+    ) -> tuple:
+        """Build-or-reuse one repetition's per-fold accumulators.
 
-    def moment_blocks(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        train_idx: np.ndarray,
-        signature: str,
-        build: Callable[[], object],
-    ):
-        """Build-or-reuse one training split's sufficient statistics.
-
-        ``signature`` names the aggregation (objective class + parameters);
-        ``build`` computes the blocks on a miss.  The returned object is
-        shared by reference — callers must treat it as read-only.
+        ``folds`` are the repetition's folds in fold order; ``build``
+        computes the accumulators on a miss.  The returned tuple is shared
+        by reference — callers must treat it as read-only.
         """
-        key = (id(X), id(y), self.split_digest(train_idx), signature)
+        sources = (folds[0].X, folds[0].y, *(fold.test_idx for fold in folds))
+        key = tuple(id(source) for source in sources)
         hit = self._moments.get(key)
         if hit is not None:
-            x_ref, y_ref, value = hit
-            if x_ref() is X and y_ref() is y:
+            refs, value = hit
+            if all(ref() is source for ref, source in zip(refs, sources)):
                 active_recorder().counter("prepared_cache.moment_hits")
                 return value
         active_recorder().counter("prepared_cache.moment_misses")
         value = build()
-        self._moments[key] = (weakref.ref(X), weakref.ref(y), value)
-        if len(self._moments) % 256 == 0:
-            self._prune()
+        # Accumulators hold every block partial of a repetition, so dead
+        # plans' entries are dropped at each build rather than in batches.
+        self._prune()
+        self._moments[key] = (tuple(weakref.ref(s) for s in sources), value)
         return value
 
     def _prune(self) -> None:
         """Drop entries whose source objects have been garbage collected.
 
-        Sweeps both maps: moment entries whose split arrays died, and task
+        Sweeps both maps: accumulator entries whose arrays died, and task
         entries whose dataset died — the latter matters for a session-
         lifetime cache, where the prepared arrays of a transient dataset
         would otherwise stay strongly referenced forever.  Iterates over a
@@ -268,8 +268,8 @@ class PreparedDataCache:
         insert into the cache mid-prune, and iterating the live dict would
         raise ``RuntimeError: dictionary changed size``.
         """
-        for key, (x_ref, y_ref, _) in list(self._moments.items()):
-            if x_ref() is None or y_ref() is None:
+        for key, (refs, _) in list(self._moments.items()):
+            if any(ref() is None for ref in refs):
                 self._moments.pop(key, None)
         for key, (dataset_ref, _) in list(self._tasks.items()):
             if dataset_ref() is None:
@@ -304,12 +304,19 @@ class PlannedFold:
         return int(self.train_idx.shape[0])
 
     def train_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize ``(X_train, y_train)`` — a fresh fancy-index copy."""
-        return self.X[self.train_idx], self.y[self.train_idx]
+        """Materialize ``(X_train, y_train)`` — a fresh gathered copy."""
+        return _gather(self.X, self.y, self.train_idx)
 
     def test_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Materialize ``(X_test, y_test)``."""
-        return self.X[self.test_idx], self.y[self.test_idx]
+        return _gather(self.X, self.y, self.test_idx)
+
+
+def _gather(X: np.ndarray, y: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``idx`` of ``(X, y)``: the values of ``X[idx]``, copied by
+    ``np.take``, whose row-block copy beats fancy indexing's per-row
+    strided copy several-fold on the prepared ``(n, d)`` arrays."""
+    return np.take(X, idx, axis=0), np.take(y, idx, axis=0)
 
 
 @dataclass(frozen=True)
@@ -463,8 +470,9 @@ def plan_cells(
     :meth:`~repro.session.Session.budget_sweep`), while a single-budget
     plan is exactly one harness sweep point.
     ``stream_version`` selects the :func:`derive_substream` format (the
-    default, 1, is the historical derivation); ``prepared_cache`` opts into
-    cross-plan prepared-data reuse.
+    default, 1, is the historical derivation); ``prepared_cache`` shares
+    prepared data across plans (a fresh cache is created when omitted, so
+    the plan's repetitions always share their fold accumulators).
 
     Memory: the plan materializes every repetition's prepared arrays up
     front and keeps them alive for its lifetime — at the shipped presets
@@ -476,6 +484,8 @@ def plan_cells(
     epsilon_values, preset, kwargs = _validated_protocol(
         epsilons, sampling_rate, preset, algorithm_kwargs
     )
+    if prepared_cache is None:
+        prepared_cache = PreparedDataCache()
     key = algorithm_stream_key(algorithm)
     folds: list[PlannedFold] = []
     dim = 0

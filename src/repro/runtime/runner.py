@@ -6,10 +6,13 @@ Two execution modes over the same cells:
     The reference oracle.  Every cell constructs its algorithm through the
     registry, fits on its fold and scores the held-out split — a faithful
     transliteration of the historical harness loop, kept as the ground
-    truth the batched path is asserted against.
+    truth the batched path is asserted against.  Quadratic-kernel cells
+    fit through the estimator's ``fit_statistics`` step from
+    :func:`fold_statistics`, the statistics the batched path uses.
 ``"batched"``
     Cells are grouped by kernel class and executed as stacked tensor
-    solves: one fold-level statistics pass feeds all epsilon cells, all
+    solves: one fold-complement statistics snapshot (:func:`fold_statistics`)
+    feeds all epsilon cells of a fold, all
     d x d solves of the plan go through one LAPACK invocation, and logistic
     cells iterate through the masked batched Newton.  Scores are **bitwise
     identical** to the per-cell mode (see :mod:`repro.runtime.kernels` for
@@ -46,7 +49,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,6 +59,7 @@ from ..core.objectives import (
     LogisticRegressionObjective,
     RegressionObjective,
 )
+from ..engine.accumulator import MomentAccumulator, MomentSnapshot
 from ..exceptions import ExecutorBrokenError, ExperimentError
 from ..obs import active_recorder
 from ..regression.linear import _validate_xy as _validate_linear_xy
@@ -75,10 +79,11 @@ from .plan import (
     KERNEL_NEWTON,
     KERNEL_QUADRATIC,
     CellPlan,
+    PlannedFold,
     TiledPlan,
 )
 
-__all__ = ["PlanResult", "run_plan", "run_plan_group"]
+__all__ = ["PlanResult", "fold_statistics", "run_plan", "run_plan_group"]
 
 #: Upper bound on the bytes a single stacked Newton chunk may hold; chunking
 #: only bounds memory — it cannot change any cell's arithmetic.
@@ -138,45 +143,60 @@ def _objective_for_plan(plan: CellPlan) -> RegressionObjective:
     )
 
 
-def _moment_signature(plan: CellPlan, kind: str) -> str:
-    """Cache key naming one plan's fold-level aggregation."""
-    if kind == "ols":
-        return f"ols:{plan.dim}"
-    if plan.task == "linear":
-        return f"quad:linear:{plan.dim}"
-    kwargs = plan.algorithm_kwargs
-    return (
-        f"quad:logistic:{kwargs.get('approximation', 'taylor')}:"
-        f"{int(kwargs.get('order', 2))}:{float(kwargs.get('radius', 1.0))}:{plan.dim}"
-    )
+def _input_gate(plan: CellPlan) -> Callable:
+    """The input check a quadratic plan's estimator applies in ``fit``."""
+    if plan.algorithm.lower() == "noprivacy":
+        return _validate_linear_xy
+    return _objective_for_plan(plan).validate
 
 
-def _fold_quadratic_form(plan: CellPlan, objective: RegressionObjective, fold):
-    """One fold's degree-2 aggregation, shared through the plan's cache."""
+def _fold_accumulators(folds: Sequence[PlannedFold], dim: int) -> tuple:
+    """One sealed accumulator per fold, over its held-out rows in order.
 
-    def build():
-        X_train, y_train = fold.train_arrays()
-        return objective.aggregate_quadratic(X_train, y_train)
+    Domain validation is the plan-level gate's job (``validate=False``
+    skips only that duplicate pass; finiteness is still checked).
+    """
+    recorder = active_recorder()
+    accumulators = []
+    for fold in folds:
+        X_test, y_test = fold.test_arrays()
+        recorder.counter("runtime.fold_stat_rows", X_test.shape[0])
+        accumulators.append(
+            MomentAccumulator(dim, validate=False).update(X_test, y_test).seal()
+        )
+    return tuple(accumulators)
 
-    if plan.cache is None:
-        return build()
-    return plan.cache.moment_blocks(
-        fold.X, fold.y, fold.train_idx, _moment_signature(plan, "quad"), build
-    )
 
+def fold_statistics(plan: CellPlan, index: int) -> MomentSnapshot:
+    """Training statistics of ``plan.folds[index]``, from its complement.
 
-def _fold_gram_moment(plan: CellPlan, fold) -> tuple[np.ndarray, np.ndarray]:
-    """One fold's OLS normal-equations blocks, shared through the cache."""
+    The objective is a sum over tuples, so a fold's training statistics
+    are the merge of the *other* folds' held-out accumulators.  Each
+    repetition builds its accumulators once (shared through the plan's
+    :class:`~repro.runtime.plan.PreparedDataCache`), so every row is
+    aggregated once per repetition rather than once per training split
+    containing it.  The snapshot's :func:`math.fsum` reduction depends
+    only on the multiset of block partials: the result is independent of
+    merge order, tiling, executor and BLAS thread count.
 
-    def build():
-        design, target = fold.train_arrays()
-        return design.T @ design, design.T @ target
+    The batched quadratic preparers and the per-cell oracle both call
+    this, so the two paths fit from bitwise identical statistics.
+    """
+    fold = plan.folds[index]
+    with active_recorder().span("runtime.fold_statistics", rep=fold.rep, fold=fold.fold):
+        rep_folds = [f for f in plan.folds if f.rep == fold.rep]
 
-    if plan.cache is None:
-        return build()
-    return plan.cache.moment_blocks(
-        fold.X, fold.y, fold.train_idx, _moment_signature(plan, "ols"), build
-    )
+        def build() -> tuple:
+            return _fold_accumulators(rep_folds, plan.dim)
+
+        parts = build() if plan.cache is None else plan.cache.fold_accumulators(
+            rep_folds, build
+        )
+        merged = MomentAccumulator(plan.dim, validate=False)
+        for k, part in enumerate(parts):
+            if k != fold.fold:
+                merged.merge(part)
+        return merged.snapshot()
 
 
 def _score_linear(y_test: np.ndarray, z: np.ndarray) -> float:
@@ -266,7 +286,24 @@ class _PercellFoldWork:
         plan, fold = self.plan, self.plan.folds[index]
         recorder = active_recorder()  # looked up per call: never pickled
         gen = plan.substream(fold)
-        X_train, y_train = fold.train_arrays()
+        if plan.kernel == KERNEL_QUADRATIC:
+            # The estimator's own gate, then the batched path's statistics:
+            # noise, repair and solve stay the estimator's code.
+            with recorder.span("cell.statistics") as stats_span:
+                _input_gate(plan)(fold.X, fold.y)
+                statistics = fold_statistics(plan, index)
+            stats_share = stats_span.seconds / len(plan.epsilons)
+
+            def fit(model) -> None:
+                model.fit_statistics(statistics, rows=fold.train_arrays)
+
+        else:
+            stats_share = 0.0
+            X_train, y_train = fold.train_arrays()
+
+            def fit(model) -> None:
+                model.fit(X_train, y_train)
+
         X_test, y_test = fold.test_arrays()
         cell_scores, cell_times = [], []
         for epsilon in plan.epsilons:
@@ -280,8 +317,8 @@ class _PercellFoldWork:
             with recorder.span(
                 "cell.fit", algorithm=plan.algorithm, epsilon=epsilon
             ) as span:
-                model.fit(X_train, y_train)
-            cell_times.append(span.seconds)
+                fit(model)
+            cell_times.append(stats_share + span.seconds)
             cell_scores.append(model.score(X_test, y_test))
         return cell_scores, cell_times
 
@@ -359,7 +396,7 @@ def _prepare_fm(plan: CellPlan) -> _QuadRequest:
     _validate_plan_inputs(plan, objective.validate)
     recorder = active_recorder()
     for f, fold in enumerate(plan.folds):
-        form = _fold_quadratic_form(plan, objective, fold)
+        form = fold_statistics(plan, f).quadratic_form(objective)
         raw = plan.substream(fold).laplace(0.0, 1.0, size=(E, 1 + d + d * d))
         recorder.counter("runner.laplace_draws", E * (1 + d + d * d))
         noisy_M, noisy_alpha = fm_noise_stack(form.M, form.alpha, raw, scales)
@@ -390,8 +427,9 @@ def _prepare_ols(plan: CellPlan) -> _QuadRequest:
     gram = np.empty((F, d, d))
     moment = np.empty((F, d))
     _validate_plan_inputs(plan, _validate_linear_xy)  # the per-cell input gate
-    for f, fold in enumerate(plan.folds):
-        gram[f], moment[f] = _fold_gram_moment(plan, fold)
+    for f in range(F):
+        statistics = fold_statistics(plan, f)
+        gram[f], moment[f] = statistics.S2, statistics.Sxy
     return _QuadRequest(
         plan=plan,
         kind="ols",
@@ -410,8 +448,8 @@ def _prepare_truncated(plan: CellPlan) -> _QuadRequest:
     M_stack = np.empty((F, d, d))
     alpha_stack = np.empty((F, d))
     _validate_plan_inputs(plan, objective.validate)  # Truncated.fit's gate
-    for f, fold in enumerate(plan.folds):
-        form = _fold_quadratic_form(plan, objective, fold)
+    for f in range(F):
+        form = fold_statistics(plan, f).quadratic_form(objective)
         M_stack[f] = form.M
         alpha_stack[f] = form.alpha
     omega, posdef = posdef_split_stack(M_stack, alpha_stack)
@@ -712,7 +750,7 @@ def run_plan_group(
 
     * plans constructed over one shared
       :class:`~repro.runtime.plan.PreparedDataCache` reuse prepared arrays
-      and fold-level moment blocks wherever their splits coincide, and
+      wherever their repetitions coincide, and
     * all quadratic-kernel plans' pending closed-form solves merge into one
       stacked LAPACK call per feature dimension (see
       :func:`_solve_requests`) — bitwise identical to solving each plan

@@ -3,9 +3,8 @@
 A Session is the place for state that should outlive a single call.
 
 * a persistent :class:`~repro.runtime.PreparedDataCache` — prepared
-  arrays and fold-level moment blocks reuse across *calls*, not just
-  across the algorithms of one panel (bit-exactly: the cache only ever
-  shares identical values);
+  arrays reuse across *calls*, not just across the algorithms of one
+  panel (bit-exactly: the cache only ever shares identical values);
 * a lazily created, **reusable executor pool** — one
   :class:`~repro.runtime.ThreadExecutor` /
   :class:`~repro.runtime.ProcessExecutor`, reused by every call until

@@ -189,6 +189,54 @@ class TestFMLogisticRegression:
         assert model.effective_epsilon == pytest.approx(0.8)
 
 
+class TestFitStatistics:
+    """``fit`` ends in ``fit_statistics``: one solve path for rows and statistics."""
+
+    @staticmethod
+    def _snapshot(X, y):
+        from repro.engine.accumulator import MomentAccumulator
+
+        return MomentAccumulator(X.shape[1]).update(X, y).snapshot()
+
+    @pytest.mark.parametrize("cls", [FMLinearRegression, FMLogisticRegression])
+    def test_snapshot_fit_equals_form_fit(self, cls, linear_data, logistic_data):
+        X, y, _ = linear_data if cls is FMLinearRegression else logistic_data
+        snapshot = self._snapshot(X, y)
+        objective = cls(epsilon=1.0).fit(X, y).objective_
+        from_snapshot = cls(epsilon=1.0, rng=3).fit_statistics(snapshot)
+        from_form = cls(epsilon=1.0, rng=3).fit_statistics(
+            snapshot.quadratic_form(objective)
+        )
+        assert from_snapshot.coef_.tobytes() == from_form.coef_.tobytes()
+        # The rows path aggregates by GEMM instead: equal up to rounding.
+        from_rows = cls(epsilon=1.0, rng=3).fit(X, y)
+        np.testing.assert_allclose(from_rows.coef_, from_snapshot.coef_, rtol=1e-6)
+
+    def test_higher_order_logistic_needs_rows(self, logistic_data):
+        from repro.exceptions import DegreeError
+
+        X, y, _ = logistic_data
+        with pytest.raises(DegreeError):
+            FMLogisticRegression(epsilon=1.0, order=4).fit_statistics(self._snapshot(X, y))
+
+    def test_ols_statistics_fallback_gathers_rows_only_when_singular(self):
+        X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]) / 8.0
+        y = np.array([0.25, 0.5, 0.75])
+        calls = []
+
+        def rows():
+            calls.append(1)
+            return X, y
+
+        fitted = LinearRegression().fit_statistics(self._snapshot(X, y), rows)
+        expected, *_ = np.linalg.lstsq(X, y, rcond=None)
+        np.testing.assert_allclose(fitted.coef_, expected, atol=1e-12)
+        assert calls == [1]
+        well_posed = np.array([[0.5, 0.1], [0.1, 0.5], [0.3, 0.3]])
+        LinearRegression().fit_statistics(self._snapshot(well_posed, y), rows)
+        assert calls == [1]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(17)

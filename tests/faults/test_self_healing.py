@@ -97,8 +97,17 @@ class TestCrashRecovery:
         items = list(range(4))
         with ProcessExecutor(max_workers=2) as executor:
             assert executor.map(_square, items) == [v * v for v in items]
-            victim = next(iter(executor.pool._processes))
-            os.kill(victim, signal.SIGKILL)
+            pool = executor.pool
+            victim_pid, victim = next(iter(pool._processes.items()))
+            os.kill(victim_pid, signal.SIGKILL)
+            # Without these waits the second map can race the kill: the
+            # surviving worker may drain every item before the pool's
+            # manager notices the death, and no rebuild happens.
+            victim.join(timeout=30)
+            deadline = time.monotonic() + 30
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool._broken, "the pool never observed its killed worker"
             recorder = make_recorder("summary")
             with use_recorder(recorder):
                 assert executor.map(_square, items) == [v * v for v in items]

@@ -185,3 +185,31 @@ class TestTelemetryNeutrality:
         off = self._scores("off", 2, tiny_dataset, tiny_preset, "process")
         trace = self._scores("trace", 2, tiny_dataset, tiny_preset, "process")
         assert off == trace
+
+    @pytest.mark.parametrize(
+        "algorithm,task",
+        [("FM", "linear"), ("FM", "logistic"), ("NoPrivacy", "linear"), ("Truncated", "logistic")],
+    )
+    def test_fold_statistics_attributed_in_summary(
+        self, algorithm, task, tiny_dataset, tiny_preset
+    ):
+        """Default summary telemetry attributes fold aggregation, and the
+        span and counter leave every digest unchanged."""
+        scores, summaries = [], {}
+        for telemetry in ("off", "summary", "trace"):
+            policy = ExecutionPolicy(telemetry=telemetry, seed=7)
+            with Session(policy) as session:
+                result = session.evaluate(
+                    algorithm, tiny_dataset, task, 5, 1.0, preset=tiny_preset
+                )
+                if telemetry != "off":
+                    summaries[telemetry] = session.telemetry_summary()
+            scores.append((result.mean_score.hex(), result.std_score.hex(), result.cells))
+        assert scores[0] == scores[1] == scores[2]
+        folds = tiny_preset.folds * tiny_preset.repetitions
+        for summary in summaries.values():
+            assert summary["spans"]["runtime.fold_statistics"]["count"] == folds
+            # Each repetition aggregates each of its rows exactly once.
+            assert summary["counters"]["runtime.fold_stat_rows"] == (
+                tiny_preset.repetitions * tiny_preset.cardinality(tiny_dataset.n)
+            )

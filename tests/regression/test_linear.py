@@ -151,7 +151,7 @@ class TestSolveNormalEquations:
         X = rng.normal(size=(60, 3))
         y = rng.normal(size=60)
         gram, moment = X.T @ X, X.T @ y
-        weights = _solve_normal_equations(gram, moment, X, y)
+        weights = _solve_normal_equations(gram, moment, lambda: (X, y))
         np.testing.assert_array_equal(weights, np.linalg.solve(gram, moment))
 
     def test_singular_gram_falls_back_to_lstsq(self):
@@ -160,7 +160,7 @@ class TestSolveNormalEquations:
         # Duplicated column: the Gram matrix is exactly rank 1.
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([2.0, 4.0, 6.0])
-        weights = _solve_normal_equations(X.T @ X, X.T @ y, X, y)
+        weights = _solve_normal_equations(X.T @ X, X.T @ y, lambda: (X, y))
         expected, *_ = np.linalg.lstsq(X, y, rcond=None)
         np.testing.assert_array_equal(weights, expected)
         np.testing.assert_allclose(X @ weights, y, atol=1e-10)
@@ -174,7 +174,7 @@ class TestSolveNormalEquations:
         moment = np.array([np.inf, 0.0])
         X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         y = np.array([1.0, 2.0, 3.0])
-        weights = _solve_normal_equations(gram, moment, X, y)
+        weights = _solve_normal_equations(gram, moment, lambda: (X, y))
         expected, *_ = np.linalg.lstsq(X, y, rcond=None)
         np.testing.assert_array_equal(weights, expected)
 

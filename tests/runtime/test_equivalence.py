@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.base import make_algorithm
+from repro.engine.accumulator import MomentAccumulator
 from repro.exceptions import DomainError, UnboundedObjectiveError
 from repro.experiments.config import SMOKE
 from repro.privacy.rng import derive_substream
@@ -135,9 +136,15 @@ class TestHarnessBitCompatibility:
         (sampling, folding, per-cell fits) is the historical reference at
         either derivation format, so the comparison pins both the v2 default
         and the v1 legacy streams.
+
+        Quadratic algorithms fit from the fold complement's statistics,
+        built here directly on ``MomentAccumulator`` (one accumulator per
+        fold's held-out rows, merged over the other folds) — the
+        definition the runtime implements, written independently of it.
         """
         key = algorithm_stream_key(algorithm)
         base_n = preset.cardinality(dataset.n)
+        quadratic = (algorithm, task) != ("NoPrivacy", "logistic")
         scores = []
         for rep in range(preset.repetitions):
             rep_rng = derive_substream(
@@ -149,8 +156,12 @@ class TestHarnessBitCompatibility:
                     rep_rng.choice(dataset.n, size=base_n, replace=False)
                 )
             prepared = working.regression_task(task, dims=dims)
-            folds = KFold(n_splits=preset.folds, rng=rep_rng)
-            for fold_id, (train_idx, test_idx) in enumerate(folds.split(prepared.n)):
+            splits = list(KFold(n_splits=preset.folds, rng=rep_rng).split(prepared.n))
+            held_out = [
+                MomentAccumulator(prepared.dim).update(prepared.X[idx], prepared.y[idx])
+                for _, idx in splits
+            ]
+            for fold_id, (train_idx, test_idx) in enumerate(splits):
                 model = make_algorithm(
                     algorithm,
                     task,
@@ -159,7 +170,13 @@ class TestHarnessBitCompatibility:
                         seed, [key, rep, fold_id], stream_version=stream_version
                     ),
                 )
-                model.fit(prepared.X[train_idx], prepared.y[train_idx])
+                if quadratic:
+                    complement = MomentAccumulator(prepared.dim)
+                    for other in held_out[fold_id + 1 :] + held_out[:fold_id]:
+                        complement.merge(other)
+                    model.fit_statistics(complement.snapshot())
+                else:
+                    model.fit(prepared.X[train_idx], prepared.y[train_idx])
                 scores.append(model.score(prepared.X[test_idx], prepared.y[test_idx]))
         return scores
 

@@ -8,6 +8,8 @@ algorithm run alone).  All comparisons are ``==`` on full score vectors —
 no tolerances.
 """
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,9 +17,11 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ExperimentError
 from repro.experiments.config import SMOKE, ScalePreset
+from repro.obs import TraceRecorder, use_recorder
 from repro.privacy.rng import derive_substream
 from repro.runtime import (
     PreparedDataCache,
+    fold_statistics,
     plan_cells,
     plan_cells_tiled,
     run_plan,
@@ -268,30 +272,30 @@ class TestPreparedDataCache:
         rep_arrays = {fold.rep: id(fold.X) for fold in plan.folds}
         assert rep_arrays[0] != rep_arrays[1]
 
-    def test_moment_blocks_identity_and_weakness(self):
+    def test_fold_accumulators_built_once_per_rep_and_held_weakly(self, us):
         cache = PreparedDataCache()
-        X = np.eye(4)
-        y = np.ones(4)
-        idx = np.arange(3)
-        built = []
-
-        def build():
-            built.append(1)
-            return ("blocks", len(built))
-
-        first = cache.moment_blocks(X, y, idx, "sig", build)
-        second = cache.moment_blocks(X, y, idx, "sig", build)
-        assert first is second and built == [1]
-        # Different signature or index vector -> rebuild.
-        cache.moment_blocks(X, y, idx, "other-sig", build)
-        cache.moment_blocks(X, y, np.arange(2), "sig", build)
-        assert built == [1, 1, 1]
-        # The cache must not keep the arrays alive.
-        ref_count_key = (id(X), id(y), cache.split_digest(idx), "sig")
-        assert ref_count_key in cache._moments
-        del X, y
+        preset = tiny_preset(reps=2, folds=4)
+        plan = plan_cells(
+            "FM", us, "linear", dims=5, epsilons=(0.8,), preset=preset,
+            seed=0, prepared_cache=cache,
+        )
+        recorder = TraceRecorder(mode="summary")
+        with use_recorder(recorder):
+            first = [fold_statistics(plan, i) for i in range(len(plan.folds))]
+            again = fold_statistics(plan, 0)
+        counters = recorder.summary()["counters"]
+        # One build per repetition; every other fold lookup is served.
+        assert counters["prepared_cache.moment_misses"] == 2
+        assert counters["prepared_cache.moment_hits"] == 2 * 3 + 1
+        assert counters["runtime.fold_stat_rows"] == 2 * 600
+        assert again.S2.tobytes() == first[0].S2.tobytes()
+        assert again.Sxy.tobytes() == first[0].Sxy.tobytes()
+        assert len(cache._moments) == 2
+        # The cache must not keep a dropped plan's arrays alive.
+        del plan, first, again
+        gc.collect()
         cache._prune()
-        assert ref_count_key not in cache._moments
+        assert not cache._moments
 
 
 class TestStreamVersionPlumbing:
