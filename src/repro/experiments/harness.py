@@ -245,8 +245,9 @@ def _fm_budget_sweep(
     """Run FM's repeated-CV protocol at *all* budgets with one pass per cell.
 
     The body of :meth:`repro.session.Session.budget_sweep`.  Each
-    (repetition, fold) training split is aggregated exactly once and
-    refit at every epsilon from the finalized coefficients, so all
+    (repetition, fold) training split's statistics are formed exactly once
+    (from the fold complement, see :func:`~repro.runtime.fold_statistics`)
+    and refit at every epsilon from the finalized coefficients, so all
     epsilons share each repetition's folds — which is what makes one pass
     possible; the paper's protocol averages over folds either way.
 
